@@ -1,10 +1,10 @@
-//! The firmware recorder: turns ground truth into badge logs, day by day.
+//! The firmware recorder: turns ground truth into badge telemetry, day by day.
 //!
-//! One [`Recorder::record_day`] call produces the logs of all 13 units for one mission
-//! day — every sensor stream sampled at its configured rate, stamped with the
-//! unit's drifting local clock. Recording day-by-day keeps memory bounded
-//! (the real mission wrote to SD cards; we hand each day to the pipeline and
-//! drop it).
+//! One [`Recorder::record_day_stores`] call produces the columnar stores of
+//! all 13 units for one mission day — every sensor stream sampled at its
+//! configured rate, stamped with the unit's drifting local clock. Recording
+//! day-by-day keeps memory bounded (the real mission wrote to SD cards; we
+//! hand each day to the pipeline and drop it).
 //!
 //! Recording is organised unit-by-unit: a shared per-day precomputation
 //! resolves every unit's position, wear state and room once per master tick,
@@ -27,7 +27,7 @@
 use crate::clockdrift::{ClockSet, UNIT_COUNT};
 use crate::links;
 use crate::mic::{self, MicModel, MicSampler};
-use crate::records::{BadgeId, BadgeLog, MissionRecording, ProximityObs, SamplingConfig};
+use crate::records::{BadgeId, ProximityObs, SamplingConfig};
 use crate::scanner;
 use crate::sensors::{EnvSampler, ImuModel, ImuSampler};
 use crate::storage::StorageMeter;
@@ -37,11 +37,10 @@ use ares_crew::roster::{AstronautId, Roster};
 use ares_crew::truth::{MissionTruth, PathCursor, SpeechSegment, WearState};
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
+use ares_simkit::par::ordered_map;
 use ares_simkit::rng::SeedTree;
 use ares_simkit::time::{SimDuration, SimTime};
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Mission-wide recording context.
 #[derive(Debug)]
@@ -138,21 +137,6 @@ impl<'a> Recorder<'a> {
         &self.config
     }
 
-    /// Records one mission day (1-based) for all units, as row-oriented
-    /// [`BadgeLog`]s — a thin façade over [`record_day_stores`].
-    ///
-    /// [`record_day_stores`]: Recorder::record_day_stores
-    #[must_use]
-    pub fn record_day(&self, day: u32) -> MissionRecording {
-        MissionRecording {
-            logs: self
-                .record_day_stores(day)
-                .into_iter()
-                .map(BadgeLog::from)
-                .collect(),
-        }
-    }
-
     /// Records one mission day (1-based) for all units, appending every
     /// sensor stream directly into columnar [`TelemetryStore`]s.
     ///
@@ -168,40 +152,14 @@ impl<'a> Recorder<'a> {
     ///
     /// Each unit draws from its own seeded stream, so the result is
     /// bit-identical to [`record_day_stores`] for any worker count; the
-    /// canonical unit order is restored by slot-indexed merging (write-once
-    /// slots — no locks, no copies on merge).
+    /// canonical unit order is restored by [`ordered_map`]; one worker
+    /// records inline on the calling thread.
     ///
     /// [`record_day_stores`]: Recorder::record_day_stores
     #[must_use]
     pub fn record_day_stores_parallel(&self, day: u32, workers: usize) -> Vec<TelemetryStore> {
         let pre = self.precompute_day(day);
-        let workers = workers.clamp(1, UNIT_COUNT);
-        let mut stores: Vec<TelemetryStore> = if workers == 1 {
-            (0..UNIT_COUNT)
-                .map(|i| self.record_unit_day(&pre, i))
-                .collect()
-        } else {
-            let slots: Vec<OnceLock<TelemetryStore>> =
-                (0..UNIT_COUNT).map(|_| OnceLock::new()).collect();
-            let cursor = AtomicUsize::new(0);
-            crossbeam::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= UNIT_COUNT {
-                            break;
-                        }
-                        slots[i]
-                            .set(self.record_unit_day(&pre, i))
-                            .expect("unshared slot");
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every unit ran"))
-                .collect()
-        };
+        let mut stores = ordered_map(workers, UNIT_COUNT, |i| self.record_unit_day(&pre, i));
         self.finish_day(&pre, &mut stores);
         stores
     }
@@ -748,17 +706,6 @@ impl<'a> Recorder<'a> {
             tn += self.config.sync_period;
         }
     }
-
-    /// Records the instrumented portion of the mission (days 2–14; badges
-    /// were first worn on day 2) and stitches the result.
-    #[must_use]
-    pub fn record_mission(&self) -> MissionRecording {
-        let mut rec = MissionRecording::default();
-        for day in 2..=ares_crew::schedule::MISSION_DAYS {
-            rec.merge(self.record_day(day));
-        }
-        rec
-    }
 }
 
 #[cfg(test)]
@@ -794,9 +741,10 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(3);
-        assert_eq!(day.logs.len(), UNIT_COUNT);
-        let b0 = day.log(BadgeId(0)).unwrap();
+        let day = rec.record_day_stores(3);
+        assert_eq!(day.len(), UNIT_COUNT);
+        let b0 = &day[0];
+        assert_eq!(b0.badge, BadgeId(0));
         assert!(!b0.scans.is_empty(), "scans");
         assert!(!b0.audio.is_empty(), "audio");
         assert!(!b0.imu.is_empty(), "imu");
@@ -805,7 +753,8 @@ mod tests {
         assert!(!b0.sync.is_empty(), "sync");
         assert!(b0.bytes_written > 1_000_000_000, "raw volume");
         // The reference unit records env + no scans.
-        let r = day.log(BadgeId::REFERENCE).unwrap();
+        let r = &day[usize::from(BadgeId::REFERENCE.0)];
+        assert_eq!(r.badge, BadgeId::REFERENCE);
         assert!(r.scans.is_empty());
         assert!(!r.env.is_empty());
     }
@@ -820,23 +769,23 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(2);
+        let day = rec.record_day_stores(2);
         // The first scan may come well after 07:00 (the badge sleeps while
         // docked), so recover the true sampling instant from the stamp: it
         // must sit on the scan-period grid, and the stamp must be that grid
         // instant's *local* image — offset by the unit's drifting clock.
         let unit = BadgeId(0);
         let clock = rec.clocks().clock(unit);
-        let scan0 = &day.log(unit).unwrap().scans[0];
+        let (scan0, _) = day[usize::from(unit.0)].scans.view().get(0).unwrap();
         let true_start = SimTime::from_day_hms(2, 7, 0, 0);
         let period = SamplingConfig::default().scan_period.as_micros();
-        let since_start = (clock.true_time(scan0.t_local) - true_start).as_micros();
+        let since_start = (clock.true_time(scan0) - true_start).as_micros();
         let grid = true_start
             + ares_simkit::time::SimDuration::from_micros(
                 (since_start + period / 2) / period * period,
             );
-        assert_eq!(scan0.t_local, clock.local_time(grid));
-        assert_ne!(scan0.t_local, grid, "the clock offset must be visible");
+        assert_eq!(scan0, clock.local_time(grid));
+        assert_ne!(scan0, grid, "the clock offset must be visible");
     }
 
     #[test]
@@ -849,8 +798,8 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(3);
-        let total: usize = day.logs.iter().map(|l| l.ir.len()).sum();
+        let day = rec.record_day_stores(3);
+        let total: usize = day.iter().map(|s| s.ir.len()).sum();
         assert!(total > 0, "some IR contacts on a normal day");
         assert_eq!(total % 2, 0, "contacts recorded pairwise");
     }

@@ -2,8 +2,8 @@
 
 use ares_badge::clockdrift::ClockSet;
 use ares_badge::records::{
-    AudioFrame, BadgeId, BadgeLog, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs,
-    SamplingConfig, SyncSample,
+    AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SamplingConfig,
+    SyncSample,
 };
 use ares_badge::sensors::{ImuModel, OFF_BODY_VAR_THRESHOLD, WALK_VAR_THRESHOLD};
 use ares_badge::storage::{decode_scan, encode_scan, StorageMeter};
@@ -117,7 +117,7 @@ proptest! {
     }
 
     #[test]
-    fn telemetry_round_trip_is_lossless_up_to_stable_sort(
+    fn telemetry_push_then_materialise_is_stable_sorted(
         scans in prop::collection::vec(
             (0i64..5_000, prop::collection::vec((0u8..27, -95.0f64..-30.0), 0..4)), 0..32),
         audio in prop::collection::vec((0i64..5_000, 30.0f64..90.0, prop::bool::ANY), 0..32),
@@ -128,15 +128,14 @@ proptest! {
         sync in prop::collection::vec((0i64..5_000, 0i64..5_000), 0..32),
         bytes in 0u64..1 << 62,
     ) {
-        let mut log = BadgeLog::new(BadgeId(7));
-        log.scans = scans
+        let mut scans: Vec<BeaconScan> = scans
             .iter()
             .map(|(t, hits)| BeaconScan {
                 t_local: SimTime::from_secs(*t),
                 hits: hits.iter().map(|&(b, r)| (BeaconId(b), r)).collect(),
             })
             .collect();
-        log.audio = audio
+        let mut audio: Vec<AudioFrame> = audio
             .iter()
             .map(|&(t, level_db, voiced)| AudioFrame {
                 t_local: SimTime::from_secs(t),
@@ -145,7 +144,7 @@ proptest! {
                 f0_hz: voiced.then_some(140.0),
             })
             .collect();
-        log.imu = imu
+        let mut imu: Vec<ImuSample> = imu
             .iter()
             .map(|&(t, accel_var)| ImuSample {
                 t_local: SimTime::from_secs(t),
@@ -154,7 +153,7 @@ proptest! {
                 step_hz: None,
             })
             .collect();
-        log.env = env
+        let mut env: Vec<EnvSample> = env
             .iter()
             .map(|&(t, temperature_c)| EnvSample {
                 t_local: SimTime::from_secs(t),
@@ -163,7 +162,7 @@ proptest! {
                 light_lux: 120.0,
             })
             .collect();
-        log.proximity = prox
+        let mut prox: Vec<ProximityObs> = prox
             .iter()
             .map(|&(t, other, rssi)| ProximityObs {
                 t_local: SimTime::from_secs(t),
@@ -171,38 +170,57 @@ proptest! {
                 rssi,
             })
             .collect();
-        log.ir = ir
+        let mut ir: Vec<IrContact> = ir
             .iter()
             .map(|&(t, other)| IrContact {
                 t_local: SimTime::from_secs(t),
                 other: BadgeId(other),
             })
             .collect();
-        log.sync = sync
+        let mut sync: Vec<SyncSample> = sync
             .iter()
             .map(|&(t, r)| SyncSample {
                 t_local: SimTime::from_secs(t),
                 t_reference: SimTime::from_secs(r),
             })
             .collect();
-        log.bytes_written = bytes;
 
-        // The columnar store keeps each family time-sorted; arrival order
-        // breaks ties. So the round trip reproduces the stable sort of the
-        // input — and exactly the input when it was already in order.
-        let mut expected = log.clone();
-        expected.scans.sort_by_key(|r| r.t_local);
-        expected.audio.sort_by_key(|r| r.t_local);
-        expected.imu.sort_by_key(|r| r.t_local);
-        expected.env.sort_by_key(|r| r.t_local);
-        expected.proximity.sort_by_key(|r| r.t_local);
-        expected.ir.sort_by_key(|r| r.t_local);
-        expected.sync.sort_by_key(|r| r.t_local);
+        let mut store = TelemetryStore::new(BadgeId(7));
+        scans.iter().cloned().for_each(|r| store.push_scan(r));
+        audio.iter().for_each(|&r| store.push_audio(r));
+        imu.iter().for_each(|&r| store.push_imu(r));
+        env.iter().for_each(|&r| store.push_env(r));
+        prox.iter().for_each(|&r| store.push_proximity(r));
+        ir.iter().for_each(|&r| store.push_ir(r));
+        sync.iter().for_each(|&r| store.push_sync(r));
+        store.bytes_written = bytes;
+        let total = scans.len() + audio.len() + imu.len() + env.len() + prox.len() + ir.len()
+            + sync.len();
+        prop_assert_eq!(store.record_count(), total);
 
-        let store = TelemetryStore::from(&log);
-        prop_assert_eq!(store.record_count(), log.record_count());
-        let back = BadgeLog::from(&store);
-        prop_assert_eq!(back, expected);
+        // Each column keeps its family time-sorted and arrival order breaks
+        // ties, so the views hand back the stable sort of what was pushed —
+        // exactly the input when it was already in order.
+        scans.sort_by_key(|r| r.t_local);
+        audio.sort_by_key(|r| r.t_local);
+        imu.sort_by_key(|r| r.t_local);
+        env.sort_by_key(|r| r.t_local);
+        prox.sort_by_key(|r| r.t_local);
+        ir.sort_by_key(|r| r.t_local);
+        sync.sort_by_key(|r| r.t_local);
+        let view = store.view();
+        let got_scans: Vec<BeaconScan> = view
+            .scan_hits()
+            .map(|(t_local, hits)| BeaconScan { t_local, hits: hits.to_vec() })
+            .collect();
+        prop_assert_eq!(got_scans, scans);
+        prop_assert_eq!(view.audio_frames().collect::<Vec<_>>(), audio);
+        prop_assert_eq!(view.imu_samples().collect::<Vec<_>>(), imu);
+        prop_assert_eq!(view.env_samples().collect::<Vec<_>>(), env);
+        prop_assert_eq!(view.proximity_obs().collect::<Vec<_>>(), prox);
+        prop_assert_eq!(view.ir_contacts().collect::<Vec<_>>(), ir);
+        prop_assert_eq!(view.sync_samples().collect::<Vec<_>>(), sync);
+        prop_assert_eq!(view.bytes_written, bytes);
     }
 
     #[test]

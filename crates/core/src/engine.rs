@@ -19,10 +19,12 @@
 //!   [`crate::wear::window_on_body`], [`crate::localization::ScanSmoother`]).
 //! * [`StageMetrics`] / [`EngineMetrics`] — a per-stage instrumentation seam
 //!   recording records in, items out and wall time.
-//! * [`MissionEngine`] — a deterministic parallel executor: badge-days fan
-//!   out across a scoped worker pool and the results are merged in canonical
-//!   day/badge order, so the parallel [`MissionAnalysis`] is bit-identical
-//!   to the sequential one regardless of worker count or scheduling.
+//! * [`MissionEngine`] — the one analysis door, a deterministic parallel
+//!   executor: badge-days fan out through [`ordered_map`] and the results
+//!   are merged in canonical day/badge order, so the parallel
+//!   [`MissionAnalysis`] is bit-identical to the sequential
+//!   [`analyze_day_stores`] composition regardless of worker count or
+//!   scheduling.
 
 use crate::activity::{self, ActivityTrack};
 use crate::anomaly::{self, Identification};
@@ -33,15 +35,15 @@ use crate::pipeline::{AstronautDaily, BadgeDay, DayAnalysis, MissionAnalysis, Pi
 use crate::speech::{self, SpeechTrack};
 use crate::sync::SyncCorrection;
 use crate::wear::{self, WearTrack};
-use ares_badge::records::{BadgeId, BadgeLog};
+use ares_badge::records::BadgeId;
 use ares_badge::telemetry::{TelemetryStore, TelemetryView};
 use ares_crew::roster::AstronautId;
 use ares_crew::schedule::Schedule;
 use ares_habitat::beacons::{BeaconDeployment, BeaconIndex};
 use ares_habitat::floorplan::FloorPlan;
+use ares_simkit::par::ordered_map;
 use ares_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -440,7 +442,7 @@ pub fn analyze_badge_day(
 /// Day-level assembly: identity resolution, meetings, passages, daily
 /// aggregates, private conversations, room climate. Purely sequential — it
 /// needs every badge of the day — and deterministic given `badges` in
-/// canonical (log) order.
+/// canonical (store) order.
 #[must_use]
 pub fn assemble_day(
     ctx: &MissionContext,
@@ -525,19 +527,11 @@ pub fn assemble_day(
 
     let private_pairs = private_conversations(stores, &badges, &carrier_of, &speech_by_ast);
 
-    // Room climate: join every carried badge's env column with its track.
+    // Room climate: join every analyzed badge's env column with its track.
     let mut climate_sums = [(0.0f64, 0u64); 10];
     for store in stores {
-        let Some(bd) = badges.iter().find(|b| b.badge == store.badge) else {
-            continue;
-        };
-        for (t_local, s) in store.env.view().iter() {
-            let t = bd.corr.to_reference(t_local);
-            if let Some(fix) = bd.track.at(t) {
-                let slot = &mut climate_sums[fix.room.index()];
-                slot.0 += s.temperature_c;
-                slot.1 += 1;
-            }
+        if let Some(bd) = badges.iter().find(|b| b.badge == store.badge) {
+            climate_join(&mut climate_sums, store.view(), &bd.corr, &bd.track);
         }
     }
     let reference_env = stores
@@ -568,17 +562,21 @@ pub fn assemble_day(
     out
 }
 
-/// Analyzes one day of badge logs sequentially (row façade): converts the
-/// logs into columnar stores once, then delegates to [`analyze_day_stores`].
-#[must_use]
-pub fn analyze_day(
-    ctx: &MissionContext,
-    day: u32,
-    logs: &[BadgeLog],
-    metrics: &mut EngineMetrics,
-) -> DayAnalysis {
-    let stores: Vec<TelemetryStore> = logs.iter().map(TelemetryStore::from).collect();
-    analyze_day_stores(ctx, day, &stores, metrics)
+/// Adds each of a badge's temperature readings to the `(Σ°C, n)` sums of the
+/// room its track places it in at that instant.
+fn climate_join(
+    sums: &mut [(f64, u64); 10],
+    view: TelemetryView<'_>,
+    corr: &SyncCorrection,
+    track: &PositionTrack,
+) {
+    for (t_local, s) in view.env.iter() {
+        if let Some(fix) = track.at(corr.to_reference(t_local)) {
+            let slot = &mut sums[fix.room.index()];
+            slot.0 += s.temperature_c;
+            slot.1 += 1;
+        }
+    }
 }
 
 /// Analyzes one day of columnar telemetry sequentially: per-badge stages in
@@ -590,12 +588,18 @@ pub fn analyze_day_stores(
     stores: &[TelemetryStore],
     metrics: &mut EngineMetrics,
 ) -> DayAnalysis {
-    let badges: Vec<BadgeDay> = stores
-        .iter()
-        .filter(|store| store.badge != BadgeId::REFERENCE)
-        .map(|store| analyze_badge_day(ctx, day, store.view(), metrics))
+    let badges: Vec<BadgeDay> = badge_views(stores)
+        .map(|view| analyze_badge_day(ctx, day, view, metrics))
         .collect();
     assemble_day(ctx, day, stores, badges, metrics)
+}
+
+/// The analyzed (non-reference) badges of a day, in store order.
+fn badge_views(stores: &[TelemetryStore]) -> impl Iterator<Item = TelemetryView<'_>> {
+    stores
+        .iter()
+        .filter(|store| store.badge != BadgeId::REFERENCE)
+        .map(TelemetryStore::view)
 }
 
 /// Private-conversation mining: "the infrared transceiver … enables assessing
@@ -677,12 +681,12 @@ fn private_conversations(
 /// The deterministic parallel executor.
 ///
 /// Badge-days are independent until day-level assembly, so they fan out
-/// across a scoped worker pool (work-stealing over an atomic cursor) and
-/// land in pre-assigned result slots. Assembly and mission aggregation then
-/// run sequentially in canonical day/badge order — the output is therefore
-/// **bit-identical** to the sequential path for any worker count and any
-/// scheduling, and only the wall-clock (and the wall-time entries of the
-/// metrics) varies.
+/// through [`ordered_map`] and come back in task order. Assembly and mission
+/// aggregation then run sequentially in canonical day/badge order — the
+/// output is therefore **bit-identical** to the sequential path for any
+/// worker count and any scheduling, and only the wall-clock (and the
+/// wall-time entries of the metrics) varies. It is the one analysis door:
+/// `MissionRunner` holds a one-worker engine.
 #[derive(Debug)]
 pub struct MissionEngine {
     ctx: Arc<MissionContext>,
@@ -701,6 +705,10 @@ struct UnitTask<'a> {
     day: u32,
     view: TelemetryView<'a>,
 }
+
+/// One habitat as the shared executor sees it: its context and its recorded
+/// days.
+type HabitatWork<'a> = (&'a MissionContext, &'a [(u32, Vec<TelemetryStore>)]);
 
 /// One habitat's recorded days plus its interned context — the batch unit
 /// the fleet scheduler hands to [`MissionEngine::analyze_fleet_stores`].
@@ -745,6 +753,13 @@ impl MissionEngine {
         &self.ctx
     }
 
+    /// The interned context handle (cheap to clone into other engines,
+    /// streaming analyzers and fleet batches).
+    #[must_use]
+    pub fn context_arc(&self) -> Arc<MissionContext> {
+        Arc::clone(&self.ctx)
+    }
+
     /// The worker count.
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -774,69 +789,40 @@ impl MissionEngine {
         self.metrics.lock().expect("metrics lock").merge(local);
     }
 
-    /// Fans badge-day tasks out across the worker pool; results come back in
+    /// Fans badge-day tasks out across the workers; results come back in
     /// task order regardless of which worker ran what. Each task carries its
-    /// own context, so one pool serves single-habitat and fleet batches
-    /// alike.
+    /// own context and returns its own metrics, merged in task order, so one
+    /// executor serves single-habitat and fleet batches alike.
     fn fan_out(&self, tasks: &[UnitTask<'_>]) -> Vec<BadgeDay> {
-        let workers = self.workers.min(tasks.len().max(1));
-        if workers == 1 {
-            let mut local = EngineMetrics::new();
-            let out = tasks
-                .iter()
-                .map(|&t| analyze_badge_day(t.ctx, t.day, t.view, &mut local))
-                .collect();
-            self.merge_metrics(&local);
-            return out;
-        }
-        let slots: Vec<Mutex<Option<BadgeDay>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut local = EngineMetrics::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&t) = tasks.get(i) else {
-                            break;
-                        };
-                        let analyzed = analyze_badge_day(t.ctx, t.day, t.view, &mut local);
-                        *slots[i].lock().expect("unshared slot") = Some(analyzed);
-                    }
-                    self.merge_metrics(&local);
-                });
-            }
+        let analyzed = ordered_map(self.workers, tasks.len(), |i| {
+            let t = tasks[i];
+            let mut metrics = EngineMetrics::new();
+            (
+                analyze_badge_day(t.ctx, t.day, t.view, &mut metrics),
+                metrics,
+            )
         });
-        slots
+        let mut local = EngineMetrics::new();
+        let badges = analyzed
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("unshared slot")
-                    .expect("every task ran")
+            .map(|(badge, metrics)| {
+                local.merge(&metrics);
+                badge
             })
-            .collect()
-    }
-
-    /// Analyzes one day of badge logs (row façade): converts to columnar
-    /// stores once, then fans the views across workers. Bit-identical to
-    /// [`analyze_day`].
-    #[must_use]
-    pub fn analyze_day(&self, day: u32, logs: &[BadgeLog]) -> DayAnalysis {
-        let stores: Vec<TelemetryStore> = logs.iter().map(TelemetryStore::from).collect();
-        self.analyze_day_stores(day, &stores)
+            .collect();
+        self.merge_metrics(&local);
+        badges
     }
 
     /// Analyzes one day of columnar telemetry, fanning zero-copy badge views
     /// across workers. Bit-identical to [`analyze_day_stores`].
     #[must_use]
     pub fn analyze_day_stores(&self, day: u32, stores: &[TelemetryStore]) -> DayAnalysis {
-        let tasks: Vec<UnitTask<'_>> = stores
-            .iter()
-            .filter(|store| store.badge != BadgeId::REFERENCE)
-            .map(|store| UnitTask {
+        let tasks: Vec<UnitTask<'_>> = badge_views(stores)
+            .map(|view| UnitTask {
                 ctx: &self.ctx,
                 day,
-                view: store.view(),
+                view,
             })
             .collect();
         let badges = self.fan_out(&tasks);
@@ -846,57 +832,20 @@ impl MissionEngine {
         out
     }
 
-    /// Analyzes a batch of recorded days (row façade): converts each day's
-    /// logs into columnar stores, then delegates to
-    /// [`MissionEngine::analyze_days_stores`].
-    #[must_use]
-    pub fn analyze_days(&self, days: &[(u32, Vec<BadgeLog>)]) -> MissionAnalysis {
-        let day_stores: Vec<(u32, Vec<TelemetryStore>)> = days
-            .iter()
-            .map(|&(day, ref logs)| (day, logs.iter().map(TelemetryStore::from).collect()))
-            .collect();
-        self.analyze_days_stores(&day_stores)
-    }
-
     /// Analyzes a batch of recorded days, fanning **all** badge-day views
     /// across workers at once, then assembling and absorbing each day in
     /// canonical order. Bit-identical to analyzing each day sequentially and
     /// absorbing in day order (including the recorded-byte accounting).
     #[must_use]
     pub fn analyze_days_stores(&self, days: &[(u32, Vec<TelemetryStore>)]) -> MissionAnalysis {
-        let tasks: Vec<UnitTask<'_>> = days
-            .iter()
-            .flat_map(|&(day, ref stores)| {
-                stores
-                    .iter()
-                    .filter(|store| store.badge != BadgeId::REFERENCE)
-                    .map(move |store| UnitTask {
-                        ctx: &self.ctx,
-                        day,
-                        view: store.view(),
-                    })
-            })
-            .collect();
-        let mut analyzed = self.fan_out(&tasks).into_iter();
-        let mut local = EngineMetrics::new();
-        let mut mission = MissionAnalysis::new(&self.ctx.plan);
-        for (day, stores) in days {
-            let n = stores
-                .iter()
-                .filter(|store| store.badge != BadgeId::REFERENCE)
-                .count();
-            let badges: Vec<BadgeDay> = analyzed.by_ref().take(n).collect();
-            let day_analysis = assemble_day(&self.ctx, *day, stores, badges, &mut local);
-            mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
-            mission.absorb(day_analysis);
-        }
-        self.merge_metrics(&local);
-        mission
+        self.analyze_habitats(&[(&self.ctx, days)])
+            .pop()
+            .expect("one habitat in, one analysis out")
     }
 
     /// Analyzes a fleet batch — several habitats' recorded days, each under
     /// its own interned context — by fanning **all** `(habitat, badge, day)`
-    /// units across one worker pool, then assembling and absorbing each
+    /// units across the workers at once, then assembling and absorbing each
     /// habitat's days in canonical `(habitat, day, badge)` order.
     ///
     /// Per-habitat output is bit-identical to running that habitat alone
@@ -905,38 +854,51 @@ impl MissionEngine {
     /// slot, and assembly is sequential in canonical order.
     #[must_use]
     pub fn analyze_fleet_stores(&self, batch: &[HabitatDays]) -> Vec<(u32, MissionAnalysis)> {
-        let tasks: Vec<UnitTask<'_>> = batch
+        let habitats: Vec<HabitatWork<'_>> = batch
             .iter()
-            .flat_map(|hab| {
-                hab.days.iter().flat_map(move |&(day, ref stores)| {
-                    stores
-                        .iter()
-                        .filter(|store| store.badge != BadgeId::REFERENCE)
-                        .map(move |store| UnitTask {
-                            ctx: &hab.ctx,
-                            day,
-                            view: store.view(),
-                        })
+            .map(|hab| (&*hab.ctx, hab.days.as_slice()))
+            .collect();
+        batch
+            .iter()
+            .map(|hab| hab.habitat)
+            .zip(self.analyze_habitats(&habitats))
+            .collect()
+    }
+
+    /// The shared executor behind [`Self::analyze_days_stores`] and
+    /// [`Self::analyze_fleet_stores`]: one fan-out over every badge-day of
+    /// every habitat, then one sequential assemble/absorb loop per habitat.
+    fn analyze_habitats(&self, habitats: &[HabitatWork<'_>]) -> Vec<MissionAnalysis> {
+        let tasks: Vec<UnitTask<'_>> = habitats
+            .iter()
+            .flat_map(|&(ctx, days)| {
+                days.iter().flat_map(move |(day, stores)| {
+                    badge_views(stores).map(move |view| UnitTask {
+                        ctx,
+                        day: *day,
+                        view,
+                    })
                 })
             })
             .collect();
         let mut analyzed = self.fan_out(&tasks).into_iter();
         let mut local = EngineMetrics::new();
-        let mut out = Vec::with_capacity(batch.len());
-        for hab in batch {
-            let mut mission = MissionAnalysis::new(&hab.ctx.plan);
-            for (day, stores) in &hab.days {
-                let n = stores
-                    .iter()
-                    .filter(|store| store.badge != BadgeId::REFERENCE)
-                    .count();
-                let badges: Vec<BadgeDay> = analyzed.by_ref().take(n).collect();
-                let day_analysis = assemble_day(&hab.ctx, *day, stores, badges, &mut local);
-                mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
-                mission.absorb(day_analysis);
-            }
-            out.push((hab.habitat, mission));
-        }
+        let out = habitats
+            .iter()
+            .map(|&(ctx, days)| {
+                let mut mission = MissionAnalysis::new(&ctx.plan);
+                for (day, stores) in days {
+                    let badges: Vec<BadgeDay> = analyzed
+                        .by_ref()
+                        .take(badge_views(stores).count())
+                        .collect();
+                    let day_analysis = assemble_day(ctx, *day, stores, badges, &mut local);
+                    mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
+                    mission.absorb(day_analysis);
+                }
+                mission
+            })
+            .collect();
         self.merge_metrics(&local);
         out
     }
@@ -985,11 +947,56 @@ mod tests {
     #[test]
     fn empty_day_parallel_matches_sequential() {
         let engine = MissionEngine::with_workers(MissionContext::icares(), 4);
-        let parallel = engine.analyze_day(3, &[]);
+        let parallel = engine.analyze_day_stores(3, &[]);
         let mut metrics = EngineMetrics::new();
-        let sequential = analyze_day(engine.context(), 3, &[], &mut metrics);
+        let sequential = analyze_day_stores(engine.context(), 3, &[], &mut metrics);
         assert_eq!(parallel, sequential);
         assert!(parallel.badges.is_empty());
+    }
+
+    #[test]
+    fn climate_join_attributes_rooms() {
+        use crate::localization::Fix;
+        use ares_badge::records::EnvSample;
+        use ares_habitat::rooms::RoomId;
+        use ares_simkit::geometry::Point2;
+        let mut store = TelemetryStore::new(BadgeId(0));
+        let mut track = PositionTrack::default();
+        // First 50 samples in the kitchen at 24.5°, next 50 in storage at 18.5°.
+        for i in 0..100i64 {
+            let (room, temp) = if i < 50 {
+                (RoomId::Kitchen, 24.5)
+            } else {
+                (RoomId::Storage, 18.5)
+            };
+            track.fixes.push(
+                SimTime::from_secs(i * 60),
+                Fix {
+                    room,
+                    position: Point2::ORIGIN,
+                    hits: 3,
+                },
+            );
+            store.push_env(EnvSample {
+                t_local: SimTime::from_secs(i * 60),
+                temperature_c: temp,
+                pressure_hpa: 1003.0,
+                light_lux: 400.0,
+            });
+        }
+        let ctx = MissionContext::icares();
+        let mut mission = MissionAnalysis::new(&ctx.plan);
+        climate_join(
+            &mut mission.climate_sums,
+            store.view(),
+            &SyncCorrection::identity(),
+            &track,
+        );
+        assert_eq!(mission.climate_sums[RoomId::Kitchen.index()].1, 50);
+        assert_eq!(mission.climate_sums[RoomId::Storage.index()].1, 50);
+        let (room, temp) = mission.warmest_room().expect("data present");
+        assert_eq!(room, RoomId::Kitchen);
+        assert!((temp - 24.5).abs() < 0.1);
     }
 
     #[test]

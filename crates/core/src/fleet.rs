@@ -16,6 +16,8 @@
 //! * A habitat's telemetry is a pure function of `(fleet seed, habitat)`,
 //!   recorded by the shard that owns it; habitats share no mutable state —
 //!   only the interned, read-only [`MissionContext`].
+//! * Shards run through [`ordered_map`] over shard indices, one thread per
+//!   shard (none when there is one shard).
 //! * Within a batch, units land in pre-assigned slots and are assembled in
 //!   canonical `(habitat, day, badge)` order by
 //!   [`MissionEngine::analyze_fleet_stores`].
@@ -30,7 +32,8 @@ use crate::engine::{EngineMetrics, HabitatDays, MissionContext, MissionEngine};
 use crate::pipeline::MissionAnalysis;
 use ares_badge::records::BadgeId;
 use ares_badge::telemetry::TelemetryStore;
-use std::sync::{Arc, Mutex};
+use ares_simkit::par::ordered_map;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Shape of one fleet run.
@@ -180,14 +183,82 @@ fn badge_days_of(days: &[(u32, Vec<TelemetryStore>)]) -> u64 {
         .sum()
 }
 
+/// One shard's share of a fleet run: the habitats `h` with
+/// `h % shards == shard`, in ascending order, recorded and analyzed one
+/// batch at a time.
+fn run_shard(
+    config: &FleetConfig,
+    source: &(impl HabitatSource + ?Sized),
+    shard: usize,
+) -> (Vec<HabitatOutcome>, ShardReport) {
+    let t_shard = Instant::now();
+    let owned: Vec<u32> = (0..config.habitats)
+        .filter(|h| (*h as usize) % config.shards == shard)
+        .collect();
+    let mut engine: Option<MissionEngine> = None;
+    let mut outcomes = Vec::with_capacity(owned.len());
+    let mut report = ShardReport {
+        shard,
+        habitats: owned.len() as u32,
+        badge_days: 0,
+        bytes: 0,
+        wall_s: 0.0,
+        metrics: EngineMetrics::new(),
+    };
+    for chunk in owned.chunks(config.batch) {
+        // Record the batch: bounded memory, then one fan-out over every
+        // (habitat, badge, day) unit of the batch.
+        let batch: Vec<HabitatDays> = chunk
+            .iter()
+            .map(|&habitat| {
+                let opened = source.open(config, habitat);
+                let days: Vec<(u32, Vec<TelemetryStore>)> = (config.first_day..=config.last_day)
+                    .map(|day| (day, (opened.recorder)(day)))
+                    .collect();
+                HabitatDays {
+                    habitat,
+                    ctx: opened.ctx,
+                    days,
+                }
+            })
+            .collect();
+        let engine = engine.get_or_insert_with(|| {
+            MissionEngine::with_workers(batch[0].ctx.clone(), config.workers)
+        });
+        let analyzed = engine.analyze_fleet_stores(&batch);
+        for (hab, (habitat, analysis)) in batch.iter().zip(analyzed) {
+            debug_assert_eq!(hab.habitat, habitat, "engine preserved batch order");
+            let badge_days = badge_days_of(&hab.days);
+            let bytes: u64 = hab
+                .days
+                .iter()
+                .flat_map(|(_, stores)| stores.iter().map(|s| s.bytes_written))
+                .sum();
+            report.badge_days += badge_days;
+            report.bytes += bytes;
+            outcomes.push(HabitatOutcome {
+                habitat,
+                shard,
+                badge_days,
+                bytes,
+                analysis,
+            });
+        }
+    }
+    if let Some(engine) = &engine {
+        report.metrics = engine.metrics();
+    }
+    report.wall_s = t_shard.elapsed().as_secs_f64();
+    (outcomes, report)
+}
+
 /// Runs a fleet: shards fan habitats out, each shard streams its habitats in
 /// batches through the generalized engine, and the per-habitat analyses come
 /// back in habitat order. See the module docs for the determinism contract.
 ///
 /// # Panics
 ///
-/// Panics if a shard thread panics or a habitat slot is left unfilled (both
-/// indicate a bug in the scheduler, not bad input).
+/// Re-raises a panic of any shard.
 #[must_use]
 pub fn run_fleet(config: &FleetConfig, source: &(impl HabitatSource + ?Sized)) -> FleetRun {
     let config = FleetConfig {
@@ -197,97 +268,16 @@ pub fn run_fleet(config: &FleetConfig, source: &(impl HabitatSource + ?Sized)) -
         ..*config
     };
     let t0 = Instant::now();
-    let slots: Vec<Mutex<Option<HabitatOutcome>>> =
-        (0..config.habitats).map(|_| Mutex::new(None)).collect();
-    let shard_slots: Vec<Mutex<Option<ShardReport>>> =
-        (0..config.shards).map(|_| Mutex::new(None)).collect();
-
-    crossbeam::scope(|s| {
-        for shard in 0..config.shards {
-            let slots = &slots;
-            let shard_slots = &shard_slots;
-            let config = &config;
-            s.spawn(move || {
-                let t_shard = Instant::now();
-                let owned: Vec<u32> = (0..config.habitats)
-                    .filter(|h| (*h as usize) % config.shards == shard)
-                    .collect();
-                let mut engine: Option<MissionEngine> = None;
-                let mut report = ShardReport {
-                    shard,
-                    habitats: owned.len() as u32,
-                    badge_days: 0,
-                    bytes: 0,
-                    wall_s: 0.0,
-                    metrics: EngineMetrics::new(),
-                };
-                for chunk in owned.chunks(config.batch) {
-                    // Record the batch: bounded memory, then one fan-out over
-                    // every (habitat, badge, day) unit of the batch.
-                    let batch: Vec<HabitatDays> = chunk
-                        .iter()
-                        .map(|&habitat| {
-                            let opened = source.open(config, habitat);
-                            let days: Vec<(u32, Vec<TelemetryStore>)> = (config.first_day
-                                ..=config.last_day)
-                                .map(|day| (day, (opened.recorder)(day)))
-                                .collect();
-                            HabitatDays {
-                                habitat,
-                                ctx: opened.ctx,
-                                days,
-                            }
-                        })
-                        .collect();
-                    let engine = engine.get_or_insert_with(|| {
-                        MissionEngine::with_workers(batch[0].ctx.clone(), config.workers)
-                    });
-                    let analyzed = engine.analyze_fleet_stores(&batch);
-                    for (hab, (habitat, analysis)) in batch.iter().zip(analyzed) {
-                        debug_assert_eq!(hab.habitat, habitat, "engine preserved batch order");
-                        let badge_days = badge_days_of(&hab.days);
-                        let bytes: u64 = hab
-                            .days
-                            .iter()
-                            .flat_map(|(_, stores)| stores.iter().map(|s| s.bytes_written))
-                            .sum();
-                        report.badge_days += badge_days;
-                        report.bytes += bytes;
-                        *slots[habitat as usize].lock().expect("unshared slot") =
-                            Some(HabitatOutcome {
-                                habitat,
-                                shard,
-                                badge_days,
-                                bytes,
-                                analysis,
-                            });
-                    }
-                }
-                if let Some(engine) = &engine {
-                    report.metrics = engine.metrics();
-                }
-                report.wall_s = t_shard.elapsed().as_secs_f64();
-                *shard_slots[shard].lock().expect("unshared slot") = Some(report);
-            });
-        }
+    let ran = ordered_map(config.shards, config.shards, |shard| {
+        run_shard(&config, source, shard)
     });
-
-    let outcomes: Vec<HabitatOutcome> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("unshared slot")
-                .expect("every habitat processed")
-        })
-        .collect();
-    let shards: Vec<ShardReport> = shard_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("unshared slot")
-                .expect("every shard reported")
-        })
-        .collect();
+    let mut outcomes = Vec::with_capacity(config.habitats as usize);
+    let mut shards = Vec::with_capacity(config.shards);
+    for (owned, report) in ran {
+        outcomes.extend(owned);
+        shards.push(report);
+    }
+    outcomes.sort_by_key(|o| o.habitat);
 
     let wall_s = t0.elapsed().as_secs_f64();
     let badge_days: u64 = shards.iter().map(|r| r.badge_days).sum();

@@ -2,7 +2,7 @@
 //!
 //! This crate is the primary contribution of the reproduction: the analysis
 //! system that turned ICAres-1's 150 GiB of badge recordings into the paper's
-//! findings. It consumes [`ares_badge`] logs (drifting local clocks, lossy
+//! findings. It consumes [`ares_badge`] telemetry stores (drifting local clocks, lossy
 //! radio, identity mix-ups and all) and produces room occupancy, movement,
 //! speech, meeting and social-network results:
 //!
@@ -21,15 +21,16 @@
 //! * [`social`] — company time, pairwise hours, Kleinberg authority
 //!   (Table I).
 //! * [`anomaly`] — badge-swap detection and identity repair.
-//! * [`environment`] — room-climate recovery and the artificial-day-length
-//!   estimator (the habitat ran on Martian time).
-//! * [`engine`] — the staged mission engine: the shared [`engine::MissionContext`],
-//!   the per-badge-day stage kernels, per-stage metrics, and the
-//!   deterministic parallel executor.
+//! * [`environment`] — the artificial-day-length estimator (the habitat ran
+//!   on Martian time).
+//! * [`engine`] — the staged mission engine and the one analysis door: the
+//!   shared [`engine::MissionContext`], the per-badge-day stage kernels,
+//!   per-stage metrics, and the deterministic parallel
+//!   [`engine::MissionEngine`].
 //! * [`fleet`] — the fleet-scale mission service: hundreds of seeded habitat
 //!   variants sharded behind one deterministic scheduler, with a fleet
 //!   scorecard aggregated across shards.
-//! * [`pipeline`] — the day-by-day orchestration (a façade over [`engine`]).
+//! * [`pipeline`] — the pipeline tunables and the day and mission results.
 //! * [`streaming`] — the bounded-memory real-time analyzer (the mission
 //!   support system's substrate; Section VI), built on the same stage
 //!   kernels as the batch path.
@@ -40,14 +41,13 @@
 //! # Examples
 //!
 //! ```no_run
-//! use ares_sociometrics::pipeline::{MissionAnalysis, Pipeline};
+//! use ares_badge::telemetry::TelemetryStore;
+//! use ares_sociometrics::engine::MissionEngine;
 //!
-//! let pipeline = Pipeline::icares();
-//! let mut mission = MissionAnalysis::new(pipeline.plan());
-//! // For each day: feed the badge logs recorded that day.
-//! # let day_logs: Vec<ares_badge::records::BadgeLog> = Vec::new();
-//! let day = pipeline.analyze_day(2, &day_logs);
-//! mission.absorb(day);
+//! let engine = MissionEngine::icares();
+//! // One entry per recorded day: the badge stores recorded that day.
+//! # let days: Vec<(u32, Vec<TelemetryStore>)> = Vec::new();
+//! let mission = engine.analyze_days_stores(&days);
 //! let table = ares_sociometrics::report::table_one(&mission);
 //! println!("{}", table.render());
 //! ```
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::localization::{Fix, Heatmap, LocalizationParams, PositionTrack, ScanSmoother};
     pub use crate::meetings::{MeetingObs, MeetingParams};
     pub use crate::occupancy::{PassageMatrix, Stay, StayStats};
-    pub use crate::pipeline::{DayAnalysis, MissionAnalysis, Pipeline, PipelineParams};
+    pub use crate::pipeline::{DayAnalysis, MissionAnalysis, PipelineParams};
     pub use crate::report::{
         fleet_section, headline_stats, scenario_section, table_one, FleetShardRow, HeadlineStats,
         ScenarioPlanRow, TableOne,

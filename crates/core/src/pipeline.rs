@@ -1,9 +1,10 @@
-//! The end-to-end offline analysis pipeline.
+//! The analysis products of the offline pipeline.
 //!
-//! Mirrors the post-mission workflow of the ICAres-1 deployment: badge logs
-//! come in day by day; each day is clock-corrected against the reference
-//! badge, localized, classified for wear/walking/speech, identity-resolved
-//! (catching badge swaps), and folded into mission-level aggregates.
+//! Mirrors the post-mission workflow of the ICAres-1 deployment: badge
+//! telemetry comes in day by day; each day is clock-corrected against the
+//! reference badge, localized, classified for wear/walking/speech,
+//! identity-resolved (catching badge swaps), and folded into mission-level
+//! aggregates.
 //!
 //! The pipeline sees **only recorded data** plus legitimately known metadata:
 //! the floor plan, the beacon placements, the calibrated channel model, the
@@ -11,20 +12,13 @@
 //! the simulation ground truth — the integration tests hold it accountable
 //! against that truth instead.
 //!
-//! The actual staged analysis lives in [`crate::engine`]: [`Pipeline`] is a
-//! thin façade over a [`MissionContext`] and the shared stage kernels, so
-//! the batch path, the parallel [`crate::engine::MissionEngine`] and the
-//! streaming analyzer all run the *same* code. When the engine runs over
-//! columnar stores, the localize and speech stages drop into batched
-//! struct-of-arrays kernels ([`crate::localization::localize_scans`],
-//! [`crate::speech::analyze_view`]) that are bit-identical to the scalar
-//! kernels this row-façade path drives — the contract
-//! `tests/batched_kernels.rs` enforces — so the two entry points still
-//! cannot diverge.
+//! This module holds the tunables ([`PipelineParams`]) and the typed results
+//! ([`BadgeDay`], [`DayAnalysis`], [`MissionAnalysis`]). The analysis itself
+//! has one door, [`crate::engine::MissionEngine`], built on the stage kernels
+//! in [`crate::engine`] that the streaming analyzer shares.
 
 use crate::activity::{ActivityParams, ActivityTrack};
 use crate::anomaly::{Identification, IdentityParams};
-use crate::engine::{self, EngineMetrics, MissionContext};
 use crate::localization::{Heatmap, LocalizationParams, PositionTrack};
 use crate::meetings::{MeetingObs, MeetingParams};
 use crate::occupancy::{PassageMatrix, Stay, StayStats};
@@ -32,10 +26,8 @@ use crate::social::{CompanyMatrix, PairwiseLedger};
 use crate::speech::{SpeechParams, SpeechTrack};
 use crate::sync::SyncCorrection;
 use crate::wear::{WearParams, WearTrack};
-use ares_badge::records::{BadgeId, BadgeLog};
+use ares_badge::records::BadgeId;
 use ares_crew::roster::AstronautId;
-use ares_crew::schedule::Schedule;
-use ares_habitat::beacons::BeaconDeployment;
 use ares_habitat::floorplan::FloorPlan;
 use serde::{Deserialize, Serialize};
 
@@ -123,108 +115,6 @@ pub struct DayAnalysis {
     /// The reference badge's environmental samples (reference time), feeding
     /// the mission-level day-length estimator.
     pub reference_env: Vec<ares_badge::records::EnvSample>,
-}
-
-/// The pipeline: a façade over the shared [`MissionContext`] and the
-/// engine's stage kernels. The context is held behind an [`Arc`] so fleet
-/// runs can intern one context per habitat deployment and share it across
-/// every runner, engine and shard that analyzes that habitat.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    ctx: std::sync::Arc<MissionContext>,
-}
-
-impl Pipeline {
-    /// Creates a pipeline for a deployment.
-    #[must_use]
-    pub fn new(
-        plan: FloorPlan,
-        beacons: BeaconDeployment,
-        schedule: Schedule,
-        params: PipelineParams,
-    ) -> Self {
-        Pipeline::from_context(MissionContext::new(plan, beacons, schedule, params))
-    }
-
-    /// Wraps an already-built (possibly interned) context.
-    #[must_use]
-    pub fn from_context(ctx: impl Into<std::sync::Arc<MissionContext>>) -> Self {
-        Pipeline { ctx: ctx.into() }
-    }
-
-    /// The canonical ICAres-1 pipeline with default parameters.
-    #[must_use]
-    pub fn icares() -> Self {
-        Pipeline::from_context(MissionContext::icares())
-    }
-
-    /// The shared mission context.
-    #[must_use]
-    pub fn context(&self) -> &MissionContext {
-        &self.ctx
-    }
-
-    /// The interned context handle (cheap to clone into engines and fleet
-    /// batches).
-    #[must_use]
-    pub fn context_arc(&self) -> std::sync::Arc<MissionContext> {
-        self.ctx.clone()
-    }
-
-    /// The parameters in use.
-    #[must_use]
-    pub fn params(&self) -> &PipelineParams {
-        &self.ctx.params
-    }
-
-    /// Mutable access for ablation sweeps. Un-interns the context first
-    /// (clone-on-write) if it is shared, so tweaking one pipeline's tunables
-    /// never perturbs another run holding the same interned context.
-    pub fn params_mut(&mut self) -> &mut PipelineParams {
-        &mut std::sync::Arc::make_mut(&mut self.ctx).params
-    }
-
-    /// The floor plan (for heatmap construction).
-    #[must_use]
-    pub fn plan(&self) -> &FloorPlan {
-        &self.ctx.plan
-    }
-
-    /// The nominal owner of a badge unit per the assignment sheet.
-    #[must_use]
-    pub fn nominal_owner(badge: BadgeId) -> Option<AstronautId> {
-        MissionContext::nominal_owner(badge)
-    }
-
-    /// Analyzes one day of badge logs (sequentially, metrics discarded).
-    /// Use [`crate::engine::MissionEngine`] for the parallel path or
-    /// [`Self::analyze_day_metered`] to keep the stage metrics.
-    #[must_use]
-    pub fn analyze_day(&self, day: u32, logs: &[BadgeLog]) -> DayAnalysis {
-        engine::analyze_day(&self.ctx, day, logs, &mut EngineMetrics::new())
-    }
-
-    /// Analyzes one day of badge logs, accumulating per-stage metrics.
-    #[must_use]
-    pub fn analyze_day_metered(
-        &self,
-        day: u32,
-        logs: &[BadgeLog],
-        metrics: &mut EngineMetrics,
-    ) -> DayAnalysis {
-        engine::analyze_day(&self.ctx, day, logs, metrics)
-    }
-
-    /// Analyzes one day of columnar telemetry stores — the zero-copy path;
-    /// bit-identical to [`Self::analyze_day`] on the equivalent logs.
-    #[must_use]
-    pub fn analyze_day_stores(
-        &self,
-        day: u32,
-        stores: &[ares_badge::telemetry::TelemetryStore],
-    ) -> DayAnalysis {
-        engine::analyze_day_stores(&self.ctx, day, stores, &mut EngineMetrics::new())
-    }
 }
 
 /// Mission-level accumulator over day analyses.
@@ -345,15 +235,10 @@ impl MissionAnalysis {
         crate::environment::estimate_day_length(&transitions)
     }
 
-    /// Accounts raw storage volume already summed by the caller (the
-    /// engine's store path sums `TelemetryStore::bytes_written` directly).
+    /// Accounts raw storage volume already summed by the caller (the engine
+    /// sums `TelemetryStore::bytes_written` per day).
     pub fn account_recorded(&mut self, bytes: u64) {
         self.bytes_recorded += bytes;
-    }
-
-    /// Accounts raw storage volume from the day's logs.
-    pub fn account_bytes(&mut self, logs: &[BadgeLog]) {
-        self.account_recorded(logs.iter().map(|l| l.bytes_written).sum::<u64>());
     }
 
     /// Mission-mean of a daily metric for one astronaut.
@@ -391,23 +276,16 @@ impl MissionAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nominal_owners() {
-        assert_eq!(Pipeline::nominal_owner(BadgeId(0)), Some(AstronautId::A));
-        assert_eq!(Pipeline::nominal_owner(BadgeId(5)), Some(AstronautId::F));
-        assert_eq!(Pipeline::nominal_owner(BadgeId(7)), None);
-        assert_eq!(Pipeline::nominal_owner(BadgeId::REFERENCE), None);
-    }
+    use crate::engine::{analyze_day_stores, EngineMetrics, MissionContext};
 
     #[test]
     fn empty_day_is_harmless() {
-        let pipeline = Pipeline::icares();
-        let day = pipeline.analyze_day(3, &[]);
+        let ctx = MissionContext::icares();
+        let day = analyze_day_stores(&ctx, 3, &[], &mut EngineMetrics::new());
         assert!(day.badges.is_empty());
         assert!(day.meetings.is_empty());
         assert_eq!(day.passages.total(), 0);
-        let mut mission = MissionAnalysis::new(pipeline.plan());
+        let mut mission = MissionAnalysis::new(&ctx.plan);
         mission.absorb(day);
         assert_eq!(mission.daily.len(), 3);
         assert!(mission.daily[2].iter().all(Option::is_none));

@@ -14,7 +14,7 @@
 //!   utterances with near-constant fundamental frequency in the TTS band.
 
 use crate::sync::SyncCorrection;
-use ares_badge::records::{AudioFrame, BadgeLog};
+use ares_badge::records::AudioFrame;
 use ares_badge::telemetry::{AudioPayload, ColumnView};
 use ares_simkit::series::{Interval, IntervalSet};
 use ares_simkit::time::{SimDuration, SimTime};
@@ -79,7 +79,7 @@ pub struct SpeechInterval {
     pub mean_voiced_db: f64,
 }
 
-/// The speech analysis of one badge log.
+/// The speech analysis of one badge's audio stream.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SpeechTrack {
     /// Per-15-s interval classification, in time order.
@@ -118,15 +118,9 @@ struct Utterance {
     f0_hz: f64,
 }
 
-/// Analyzes a badge's audio stream (row façade).
-#[must_use]
-pub fn analyze(log: &BadgeLog, corr: &SyncCorrection, params: &SpeechParams) -> SpeechTrack {
-    analyze_iter(log.audio.iter().copied(), corr, params)
-}
-
-/// [`analyze`] over any audio frame stream — the scalar reference kernel
-/// behind the row façade, and the bit-identity oracle for the batched
-/// [`analyze_view`].
+/// Analyzes any audio frame stream with the paper's speech rules — the
+/// scalar reference kernel, kept as the bit-identity oracle for the batched
+/// [`analyze_view`] the engine runs.
 #[must_use]
 pub fn analyze_iter(
     audio: impl Iterator<Item = AudioFrame>,
@@ -490,7 +484,6 @@ pub fn classify_register(track: &SpeechTrack, params: &SpeechParams) -> Option<&
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ares_badge::records::BadgeId;
 
     fn frame(t_ms: i64, level: f64, voiced: bool, f0: Option<f64>) -> AudioFrame {
         AudioFrame {
@@ -499,12 +492,6 @@ mod tests {
             voiced,
             f0_hz: f0,
         }
-    }
-
-    fn log_of(frames: Vec<AudioFrame>) -> BadgeLog {
-        let mut log = BadgeLog::new(BadgeId(0));
-        log.audio = frames;
-        log
     }
 
     #[test]
@@ -530,8 +517,8 @@ mod tests {
                 voiced.then_some(200.0),
             ));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -543,8 +530,8 @@ mod tests {
     #[test]
     fn loud_but_unvoiced_frames_do_not_count() {
         let frames: Vec<AudioFrame> = (0..30).map(|i| frame(i * 500, 70.0, false, None)).collect();
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -561,8 +548,8 @@ mod tests {
         for i in 10..20 {
             frames.push(frame(i * 500, 67.0, true, Some(120.0)));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -594,8 +581,8 @@ mod tests {
             frames.push(frame(t, 76.0, true, Some(205.0)));
             t += 500;
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -611,49 +598,12 @@ mod tests {
             filter_synthetic: false,
             ..Default::default()
         };
-        let naive = analyze(
-            &log_of_frames_clone(),
+        let naive = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &unfixed,
         );
         assert!(naive.self_talk.total_duration().as_secs_f64() > 18.0);
-
-        fn log_of_frames_clone() -> BadgeLog {
-            let mut frames = Vec::new();
-            let mut t = 0;
-            for _ in 0..3 {
-                for _ in 0..12 {
-                    frames.push(AudioFrame {
-                        t_local: SimTime::from_micros(t * 1000),
-                        level_db: 73.0,
-                        voiced: true,
-                        f0_hz: Some(150.3),
-                    });
-                    t += 500;
-                }
-                for _ in 0..4 {
-                    frames.push(AudioFrame {
-                        t_local: SimTime::from_micros(t * 1000),
-                        level_db: 42.0,
-                        voiced: false,
-                        f0_hz: None,
-                    });
-                    t += 500;
-                }
-            }
-            for _ in 0..8 {
-                frames.push(AudioFrame {
-                    t_local: SimTime::from_micros(t * 1000),
-                    level_db: 76.0,
-                    voiced: true,
-                    f0_hz: Some(205.0),
-                });
-                t += 500;
-            }
-            let mut log = BadgeLog::new(BadgeId(0));
-            log.audio = frames;
-            log
-        }
     }
 
     #[test]
@@ -671,8 +621,8 @@ mod tests {
                 t += 500;
             }
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -690,8 +640,8 @@ mod tests {
         for i in 30..60 {
             frames.push(frame(i * 500, 41.0, false, None));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            frames.iter().copied(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );

@@ -16,7 +16,7 @@
 //!
 //! Every classification rule here is a **shared stage kernel** from the
 //! batch path: room smoothing is [`ScanSmoother`] (the same type
-//! [`crate::localization::localize`] runs on), the speech-interval rule is
+//! [`crate::localization::localize_scans_scalar`] runs on), the speech-interval rule is
 //! [`crate::speech::frame_qualifies`] + [`crate::speech::interval_is_speech`],
 //! and the wear vote is [`crate::wear::window_on_body`] +
 //! [`crate::wear::block_worn`]. The streaming analyzer cannot drift from the

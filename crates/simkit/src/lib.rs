@@ -13,6 +13,7 @@
 //! * [`clock`] — drifting device clocks and their linear corrections.
 //! * [`series`] — timestamped sample sequences and disjoint-interval algebra.
 //! * [`geometry`] — planar points, polygons, wall-crossing tests, heatmap grids.
+//! * [`par`] — the one ordered fan-out every parallel path uses.
 //! * [`stats`] — running moments, least squares, correlation.
 //!
 //! # Examples
@@ -36,6 +37,7 @@ pub mod clock;
 pub mod event;
 pub mod geometry;
 pub mod lanes;
+pub mod par;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -932,10 +932,12 @@ impl ShardWorker {
                     .live
                     .entry(*tenant)
                     .or_insert_with(|| TenantLive::fresh(&self.ctx));
-                let stores: Vec<TelemetryStore> = live.day_stores.values().cloned().collect();
+                // Hand the day's stores over to the analysis; the tenant
+                // starts the next day with an empty map.
+                let stores: Vec<TelemetryStore> =
+                    std::mem::take(&mut live.day_stores).into_values().collect();
                 let analysis = analyze_day_stores(&self.ctx, *day, &stores, &mut self.metrics);
                 live.analysis.absorb(analysis);
-                live.day_stores.clear();
                 live.days += 1;
             }
         }

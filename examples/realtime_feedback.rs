@@ -15,40 +15,39 @@ use ares::badge::records::BadgeId;
 use ares::icares::MissionRunner;
 use ares::sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
 
-enum Record<'a> {
-    Scan(&'a ares::badge::records::BeaconScan),
-    Audio(&'a ares::badge::records::AudioFrame),
-    Imu(&'a ares::badge::records::ImuSample),
+enum Record {
+    Scan(ares::badge::records::BeaconScan),
+    Audio(ares::badge::records::AudioFrame),
+    Imu(ares::badge::records::ImuSample),
 }
 
 fn main() {
     let runner = MissionRunner::icares();
     println!("recording mission day 4 (the day astronaut C leaves)…");
-    let (recording, _) = runner.run_day(4);
+    let (stores, _) = runner.run_day(4);
 
     // Build the multiplexed feed the habitat radio network would deliver.
     let mut sa = StreamingAnalyzer::icares();
     let mut feed: Vec<(i64, BadgeId, Record)> = Vec::new();
-    for log in &recording.logs {
-        for s in &log.sync {
-            sa.ingest_sync(log.badge, s);
+    for store in &stores {
+        let (badge, view) = (store.badge, store.view());
+        for s in view.sync_samples() {
+            sa.ingest_sync(badge, &s);
         }
-        for s in &log.scans {
-            feed.push((s.t_local.as_micros(), log.badge, Record::Scan(s)));
+        for (t_local, hits) in view.scan_hits() {
+            let hits = hits.to_vec();
+            let scan = ares::badge::records::BeaconScan { t_local, hits };
+            feed.push((t_local.as_micros(), badge, Record::Scan(scan)));
         }
-        for f in &log.audio {
-            feed.push((f.t_local.as_micros(), log.badge, Record::Audio(f)));
+        for f in view.audio_frames() {
+            feed.push((f.t_local.as_micros(), badge, Record::Audio(f)));
         }
-        for s in &log.imu {
-            feed.push((s.t_local.as_micros(), log.badge, Record::Imu(s)));
+        for s in view.imu_samples() {
+            feed.push((s.t_local.as_micros(), badge, Record::Imu(s)));
         }
     }
     feed.sort_by_key(|&(t, _, _)| t);
-    println!(
-        "feed: {} records from {} units\n",
-        feed.len(),
-        recording.logs.len()
-    );
+    println!("feed: {} records from {} units\n", feed.len(), stores.len());
 
     let started = std::time::Instant::now();
     let mut ticker: Vec<String> = Vec::new();

@@ -14,6 +14,12 @@ cargo build --release --workspace
 echo "== tier1: tests =="
 cargo test -q --workspace
 
+echo "== tier1: perfbench self-tests (benchmark builds against the crates) =="
+# perfbench is its own workspace that calls the crates' public APIs; running
+# its tiny-size self-tests here makes a crate API change that breaks the
+# benchmark fail tier 1 instead of the benchmark gate.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== tier1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,7 +20,7 @@
 //! * [`badge`] — the badge device model: sensors, radios, drifting clocks,
 //!   storage and power.
 //! * [`sociometrics`] — **the core contribution**: the offline pipeline that
-//!   turns badge logs into the paper's findings.
+//!   turns badge telemetry into the paper's findings.
 //! * [`support`] — the Section VI mission-support runtime: failover, Earth
 //!   link, alerts, approvals, privacy, resources.
 //! * [`icares`] — the end-to-end scenario, figure generators and calibration
@@ -32,7 +32,7 @@
 //! use ares::icares::MissionRunner;
 //!
 //! let runner = MissionRunner::icares();
-//! let (_recording, analysis) = runner.run_day(3);
+//! let (_stores, analysis) = runner.run_day(3);
 //! println!("{} meetings detected", analysis.meetings.len());
 //! ```
 

@@ -14,9 +14,13 @@ use std::sync::OnceLock;
 #[test]
 fn streaming_matches_batch_on_a_real_day() {
     let runner = MissionRunner::icares();
-    let (recording, batch) = runner.run_day(3);
+    let (stores, batch) = runner.run_day(3);
     let unit = BadgeId(4); // E's badge
-    let log = recording.log(unit).expect("recorded");
+    let view = stores
+        .iter()
+        .find(|s| s.badge == unit)
+        .expect("recorded")
+        .view();
     let batch_day = batch
         .badges
         .iter()
@@ -27,20 +31,24 @@ fn streaming_matches_batch_on_a_real_day() {
     // Replay in the order the badge produced records: sync first (the badge
     // syncs opportunistically from the very start of the day), then the
     // sensor streams interleaved by timestamp.
-    for s in &log.sync {
-        sa.ingest_sync(unit, s);
+    for s in view.sync_samples() {
+        sa.ingest_sync(unit, &s);
     }
     let mut room_events: Vec<(SimTime, ares::habitat::rooms::RoomId)> = Vec::new();
     let mut speech_events = 0usize;
-    for scan in &log.scans {
-        for e in sa.ingest_scan(unit, scan) {
+    for (t_local, hits) in view.scan_hits() {
+        let scan = BeaconScan {
+            t_local,
+            hits: hits.to_vec(),
+        };
+        for e in sa.ingest_scan(unit, &scan) {
             if let LiveEvent::RoomChanged { room, at, .. } = e {
                 room_events.push((at, room));
             }
         }
     }
-    for frame in &log.audio {
-        for e in sa.ingest_audio(unit, frame) {
+    for frame in view.audio_frames() {
+        for e in sa.ingest_audio(unit, &frame) {
             if matches!(e, LiveEvent::SpeechDetected { .. }) {
                 speech_events += 1;
             }
@@ -100,23 +108,25 @@ fn streaming_matches_batch_on_a_real_day() {
 #[test]
 fn streaming_meeting_events_bracket_batch_meetings() {
     let runner = MissionRunner::icares();
-    let (recording, batch) = runner.run_day(2);
+    let (stores, batch) = runner.run_day(2);
     let mut sa = StreamingAnalyzer::icares();
     // Interleave all badges' scans by local timestamp (true multiplexed feed).
-    let mut feed: Vec<(BadgeId, &ares::badge::records::BeaconScan)> = Vec::new();
-    for log in &recording.logs {
-        for s in &log.sync {
-            sa.ingest_sync(log.badge, s);
+    let mut feed: Vec<(BadgeId, BeaconScan)> = Vec::new();
+    for store in &stores {
+        let view = store.view();
+        for s in view.sync_samples() {
+            sa.ingest_sync(store.badge, &s);
         }
-        for scan in &log.scans {
-            feed.push((log.badge, scan));
+        for (t_local, hits) in view.scan_hits() {
+            let hits = hits.to_vec();
+            feed.push((store.badge, BeaconScan { t_local, hits }));
         }
     }
     feed.sort_by_key(|(_, s)| s.t_local);
     let mut started = 0usize;
     let mut ended = 0usize;
     for (badge, scan) in feed {
-        for e in sa.ingest_scan(badge, scan) {
+        for e in sa.ingest_scan(badge, &scan) {
             match e {
                 LiveEvent::MeetingStarted { .. } => started += 1,
                 LiveEvent::MeetingEnded { .. } => ended += 1,
