@@ -223,6 +223,86 @@ proptest! {
         prop_assert_eq!(view.bytes_written, bytes);
     }
 
+    /// Pushing an arrival sequence into segments cut at arbitrary points and
+    /// joining them with `TelemetryStore::append` gives the store that one
+    /// store fed the whole sequence holds: ties keep arrival order and
+    /// out-of-order records land where a single column would put them. The
+    /// ingest day end joins checkpoint segments on exactly this argument.
+    #[test]
+    fn segmented_pushes_joined_by_append_equal_one_store(
+        arrivals in prop::collection::vec((0u8..7, 0i64..40, 0u8..13, -95.0f64..-30.0), 0..96),
+        cuts in prop::collection::vec(0usize..=96, 0..6),
+    ) {
+        let badge = BadgeId(3);
+        let push = |store: &mut TelemetryStore, &(kind, t, other, x): &(u8, i64, u8, f64)| {
+            let t_local = SimTime::from_secs(t);
+            match kind {
+                0 => store.push_scan(BeaconScan {
+                    t_local,
+                    hits: vec![(BeaconId(other), x)],
+                }),
+                1 => store.push_audio(AudioFrame {
+                    t_local,
+                    level_db: -x,
+                    voiced: other % 2 == 0,
+                    f0_hz: None,
+                }),
+                2 => store.push_imu(ImuSample {
+                    t_local,
+                    accel_var: -x / 100.0,
+                    accel_mean: 9.81,
+                    step_hz: None,
+                }),
+                3 => store.push_env(EnvSample {
+                    t_local,
+                    temperature_c: -x / 4.0,
+                    pressure_hpa: 990.0,
+                    light_lux: 120.0,
+                }),
+                4 => store.push_proximity(ProximityObs {
+                    t_local,
+                    other: BadgeId(other),
+                    rssi: x,
+                }),
+                5 => store.push_ir(IrContact {
+                    t_local,
+                    other: BadgeId(other),
+                }),
+                _ => store.push_sync(SyncSample {
+                    t_local,
+                    t_reference: SimTime::from_secs(t + i64::from(other)),
+                }),
+            }
+        };
+        let mut one = TelemetryStore::new(badge);
+        arrivals.iter().for_each(|r| push(&mut one, r));
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(arrivals.len())).collect();
+        cuts.push(arrivals.len());
+        cuts.sort_unstable();
+        let mut from = 0;
+        let mut joined = TelemetryStore::new(badge);
+        for to in cuts {
+            let mut segment = TelemetryStore::new(badge);
+            arrivals[from..to].iter().for_each(|r| push(&mut segment, r));
+            joined.append(segment);
+            from = to;
+        }
+
+        prop_assert_eq!(&joined.scans, &one.scans);
+        prop_assert_eq!(&joined.audio, &one.audio);
+        prop_assert_eq!(&joined.imu, &one.imu);
+        prop_assert_eq!(&joined.env, &one.env);
+        prop_assert_eq!(&joined.proximity, &one.proximity);
+        prop_assert_eq!(&joined.ir, &one.ir);
+        prop_assert_eq!(&joined.sync, &one.sync);
+        prop_assert_eq!(joined.bytes_written, one.bytes_written);
+        prop_assert_eq!(
+            serde_json::to_string(&joined).expect("store serializes"),
+            serde_json::to_string(&one).expect("store serializes")
+        );
+    }
+
     #[test]
     fn telemetry_window_matches_naive_filter(
         ts in prop::collection::vec(0i64..2_000, 0..160),

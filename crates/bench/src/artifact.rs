@@ -408,12 +408,13 @@ pub fn check_pipeline(doc: &Json) -> Vec<Violation> {
     expect_bool(doc, &["record", "speedup_measured"], true, &mut out);
     expect_floor(doc, &["record", "days_per_s"], 1.7, &mut out);
     // Ingest: byte-identical recovery and a sustained-throughput floor
-    // (~1/3 of the ~190k records/s measured on the slowest host).
+    // (~1/3 of the ~780k records/s `ingest_soak` measures with incremental
+    // checkpoints on a 2-core Intel Xeon sandbox host).
     expect_bool(doc, &["ingest", "recovery_divergent"], false, &mut out);
     expect_floor(
         doc,
         &["ingest", "sustained_records_per_s"],
-        60_000.0,
+        250_000.0,
         &mut out,
     );
     // Fleet: the soak must cover ≥ 1,000 badge-days and stay deterministic

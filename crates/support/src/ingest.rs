@@ -24,7 +24,12 @@
 //!    the primary's cursor advances to that sequence number;
 //! 3. on the checkpoint cadence, a serving primary snapshots all tenant
 //!    state plus its cursor into the vault (unless a `BusDrop` fault has the
-//!    replication link down), and the WAL is truncated up to the cursor;
+//!    replication link down), and the WAL is truncated up to the cursor. The
+//!    snapshot is incremental: each badge's records applied since the last
+//!    checkpoint are sealed, without a copy, into an `Arc`-shared segment,
+//!    and the snapshot shares the day's segment lists and the mission
+//!    analysis with the live state. A day end joins the segments in arrival
+//!    order, which gives the same store as one column fed every record;
 //! 4. when [`FaultPlan`] faults kill the primary, the failure detector
 //!    promotes a backup, which restores the vault's latest checkpoint and
 //!    replays every WAL entry past the checkpoint cursor.
@@ -238,12 +243,14 @@ impl IngestConfig {
     }
 }
 
-/// Per-tenant state replicated in a [`ShardCheckpoint`].
+/// Per-tenant state replicated in a [`ShardCheckpoint`]. Telemetry is held
+/// as the sealed segments the live state shares, so taking a checkpoint
+/// copies no record.
 #[derive(Debug, Clone)]
 pub struct TenantCheckpoint {
     analyzer: AnalyzerCheckpoint,
-    day_stores: Vec<TelemetryStore>,
-    analysis: MissionAnalysis,
+    segments: Vec<(BadgeId, Vec<Arc<TelemetryStore>>)>,
+    analysis: Arc<MissionAnalysis>,
     records: u64,
     days: u64,
 }
@@ -294,7 +301,6 @@ enum ShardMsg {
 }
 
 /// A WAL entry: the data-plane payload of a [`ShardMsg`], sequence-numbered.
-#[derive(Clone)]
 enum WalEntry {
     Record {
         tenant: TenantId,
@@ -307,11 +313,56 @@ enum WalEntry {
     },
 }
 
+/// One badge's telemetry for the current day: the segments sealed by earlier
+/// checkpoints, in arrival order, plus the open tail of records applied
+/// since the last one.
+struct BadgeDay {
+    sealed: Vec<Arc<TelemetryStore>>,
+    tail: TelemetryStore,
+}
+
+impl BadgeDay {
+    fn new(badge: BadgeId) -> Self {
+        BadgeDay {
+            sealed: Vec::new(),
+            tail: TelemetryStore::new(badge),
+        }
+    }
+
+    /// Moves a non-empty tail into a new sealed segment and returns the
+    /// segment list, sharing every segment with the live state.
+    fn seal(&mut self) -> Vec<Arc<TelemetryStore>> {
+        if self.tail.record_count() > 0 {
+            let badge = self.tail.badge;
+            let tail = std::mem::replace(&mut self.tail, TelemetryStore::new(badge));
+            self.sealed.push(Arc::new(tail));
+        }
+        self.sealed.clone()
+    }
+
+    /// The day as one store: the segments, then the tail, joined in arrival
+    /// order. `TelemetryStore::append` inserts stably, so this is exactly the
+    /// store one column fed every record in arrival order would hold. A
+    /// segment the vault still shares is cloned once.
+    fn join(self) -> TelemetryStore {
+        let mut parts = self
+            .sealed
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .chain(std::iter::once(self.tail));
+        let mut store = parts.next().expect("the tail is always there");
+        for part in parts {
+            store.append(part);
+        }
+        store
+    }
+}
+
 /// Live (unreplicated) per-tenant state owned by a shard's primary.
 struct TenantLive {
     analyzer: StreamingAnalyzer,
-    day_stores: BTreeMap<BadgeId, TelemetryStore>,
-    analysis: MissionAnalysis,
+    day: BTreeMap<BadgeId, BadgeDay>,
+    analysis: Arc<MissionAnalysis>,
     records: u64,
     days: u64,
 }
@@ -320,18 +371,24 @@ impl TenantLive {
     fn fresh(ctx: &MissionContext) -> Self {
         TenantLive {
             analyzer: StreamingAnalyzer::with_context(ctx.clone()),
-            day_stores: BTreeMap::new(),
-            analysis: MissionAnalysis::new(&ctx.plan),
+            day: BTreeMap::new(),
+            analysis: Arc::new(MissionAnalysis::new(&ctx.plan)),
             records: 0,
             days: 0,
         }
     }
 
-    fn checkpoint(&self, now: SimTime) -> TenantCheckpoint {
+    /// Seals every badge's tail and snapshots the segment lists: a
+    /// checkpoint shares the day's telemetry instead of copying it.
+    fn checkpoint(&mut self, now: SimTime) -> TenantCheckpoint {
         TenantCheckpoint {
             analyzer: self.analyzer.checkpoint(now),
-            day_stores: self.day_stores.values().cloned().collect(),
-            analysis: self.analysis.clone(),
+            segments: self
+                .day
+                .iter_mut()
+                .map(|(&badge, day)| (badge, day.seal()))
+                .collect(),
+            analysis: Arc::clone(&self.analysis),
             records: self.records,
             days: self.days,
         }
@@ -342,12 +399,18 @@ impl TenantLive {
         analyzer.restore(&ckpt.analyzer);
         TenantLive {
             analyzer,
-            day_stores: ckpt
-                .day_stores
+            day: ckpt
+                .segments
                 .iter()
-                .map(|s| (s.badge, s.clone()))
+                .map(|(badge, sealed)| {
+                    let day = BadgeDay {
+                        sealed: sealed.clone(),
+                        ..BadgeDay::new(*badge)
+                    };
+                    (*badge, day)
+                })
                 .collect(),
-            analysis: ckpt.analysis.clone(),
+            analysis: Arc::clone(&ckpt.analysis),
             records: ckpt.records,
             days: ckpt.days,
         }
@@ -855,24 +918,18 @@ impl ShardWorker {
             }
         }
         let cursor = self.cursor;
-        let tail: Vec<(u64, WalEntry)> = self
-            .wal
-            .iter()
-            .filter(|&&(s, _)| s > cursor)
-            .cloned()
-            .collect();
-        for (s, entry) in tail {
-            self.apply(&entry);
-            self.cursor = s;
+        for (s, entry) in self.wal.iter().filter(|&&(s, _)| s > cursor) {
+            apply(&mut self.live, &self.ctx, &mut self.metrics, entry);
+            self.cursor = *s;
             self.wal_replayed += 1;
         }
     }
 
     /// WAL-appends an entry, then — if a live primary is serving — applies
-    /// it and advances the cursor, and takes any due checkpoint.
+    /// it from the WAL and advances the cursor, and takes any due checkpoint.
     fn append_and_apply(&mut self, entry: WalEntry) {
         self.seq += 1;
-        self.wal.push((self.seq, entry.clone()));
+        self.wal.push((self.seq, entry));
         let serving = self
             .service
             .primary()
@@ -880,66 +937,11 @@ impl ShardWorker {
         if !serving {
             return;
         }
-        self.apply(&entry);
+        let (_, entry) = self.wal.last().expect("just appended");
+        apply(&mut self.live, &self.ctx, &mut self.metrics, entry);
         self.cursor = self.seq;
         if self.cadence.due(self.clock) {
             self.take_checkpoint();
-        }
-    }
-
-    /// The deterministic data plane: exactly this function runs both live
-    /// and during replay, so recovered state cannot diverge.
-    fn apply(&mut self, entry: &WalEntry) {
-        match entry {
-            WalEntry::Record {
-                tenant,
-                badge,
-                record,
-            } => {
-                let live = self
-                    .live
-                    .entry(*tenant)
-                    .or_insert_with(|| TenantLive::fresh(&self.ctx));
-                let store = live
-                    .day_stores
-                    .entry(*badge)
-                    .or_insert_with(|| TelemetryStore::new(*badge));
-                match record {
-                    TelemetryRecord::Scan(r) => {
-                        store.push_scan(r.clone());
-                        let _ = live.analyzer.ingest_scan(*badge, r);
-                    }
-                    TelemetryRecord::Audio(r) => {
-                        store.push_audio(*r);
-                        let _ = live.analyzer.ingest_audio(*badge, r);
-                    }
-                    TelemetryRecord::Imu(r) => {
-                        store.push_imu(*r);
-                        let _ = live.analyzer.ingest_imu(*badge, r);
-                    }
-                    TelemetryRecord::Env(r) => store.push_env(*r),
-                    TelemetryRecord::Proximity(r) => store.push_proximity(*r),
-                    TelemetryRecord::Ir(r) => store.push_ir(*r),
-                    TelemetryRecord::Sync(r) => {
-                        store.push_sync(*r);
-                        live.analyzer.ingest_sync(*badge, r);
-                    }
-                }
-                live.records += 1;
-            }
-            WalEntry::DayEnd { tenant, day } => {
-                let live = self
-                    .live
-                    .entry(*tenant)
-                    .or_insert_with(|| TenantLive::fresh(&self.ctx));
-                // Hand the day's stores over to the analysis; the tenant
-                // starts the next day with an empty map.
-                let stores: Vec<TelemetryStore> =
-                    std::mem::take(&mut live.day_stores).into_values().collect();
-                let analysis = analyze_day_stores(&self.ctx, *day, &stores, &mut self.metrics);
-                live.analysis.absorb(analysis);
-                live.days += 1;
-            }
         }
     }
 
@@ -954,7 +956,7 @@ impl ShardWorker {
             cursor: self.cursor,
             tenants: self
                 .live
-                .iter()
+                .iter_mut()
                 .map(|(t, l)| (*t, l.checkpoint(self.clock)))
                 .collect(),
         };
@@ -1004,7 +1006,7 @@ impl ShardWorker {
                     (
                         t,
                         TenantReport {
-                            analysis: l.analysis,
+                            analysis: Arc::unwrap_or_clone(l.analysis),
                             records: l.records,
                             events: l.analyzer.events_emitted(),
                             days: l.days,
@@ -1014,6 +1016,70 @@ impl ShardWorker {
                 .collect(),
             metrics: self.metrics,
             failover_log: self.service.log().to_vec(),
+        }
+    }
+}
+
+/// The deterministic data plane: exactly this function runs both live and
+/// during replay, so recovered state cannot diverge. It borrows the entry
+/// from the WAL, so a record is owned once, by the log.
+fn apply(
+    live: &mut BTreeMap<TenantId, TenantLive>,
+    ctx: &MissionContext,
+    metrics: &mut EngineMetrics,
+    entry: &WalEntry,
+) {
+    match entry {
+        WalEntry::Record {
+            tenant,
+            badge,
+            record,
+        } => {
+            let live = live
+                .entry(*tenant)
+                .or_insert_with(|| TenantLive::fresh(ctx));
+            let store = &mut live
+                .day
+                .entry(*badge)
+                .or_insert_with(|| BadgeDay::new(*badge))
+                .tail;
+            match record {
+                TelemetryRecord::Scan(r) => {
+                    store.push_scan(r.clone());
+                    let _ = live.analyzer.ingest_scan(*badge, r);
+                }
+                TelemetryRecord::Audio(r) => {
+                    store.push_audio(*r);
+                    let _ = live.analyzer.ingest_audio(*badge, r);
+                }
+                TelemetryRecord::Imu(r) => {
+                    store.push_imu(*r);
+                    let _ = live.analyzer.ingest_imu(*badge, r);
+                }
+                TelemetryRecord::Env(r) => store.push_env(*r),
+                TelemetryRecord::Proximity(r) => store.push_proximity(*r),
+                TelemetryRecord::Ir(r) => store.push_ir(*r),
+                TelemetryRecord::Sync(r) => {
+                    store.push_sync(*r);
+                    live.analyzer.ingest_sync(*badge, r);
+                }
+            }
+            live.records += 1;
+        }
+        WalEntry::DayEnd { tenant, day } => {
+            let live = live
+                .entry(*tenant)
+                .or_insert_with(|| TenantLive::fresh(ctx));
+            // Join each badge's segments into the day's stores; the tenant
+            // starts the next day with an empty map.
+            let stores: Vec<TelemetryStore> = std::mem::take(&mut live.day)
+                .into_values()
+                .map(BadgeDay::join)
+                .collect();
+            let analysis = analyze_day_stores(ctx, *day, &stores, metrics);
+            // Clones the mission analysis only while the vault shares it.
+            Arc::make_mut(&mut live.analysis).absorb(analysis);
+            live.days += 1;
         }
     }
 }
@@ -1183,5 +1249,69 @@ mod tests {
         let tenant = report.tenant(TenantId(0)).expect("tenant served");
         assert_eq!(tenant.days, 1);
         assert_eq!(tenant.records, 120);
+    }
+
+    /// Checkpoints are incremental: a record is sealed into a segment once
+    /// and every later checkpoint shares that segment instead of copying it.
+    #[test]
+    fn consecutive_checkpoints_share_sealed_segments_and_leave_tails_empty() {
+        let ctx = MissionContext::icares();
+        let cfg = config(1, 16, BackpressurePolicy::Block);
+        let horizon = cfg.span.end + SimDuration::from_hours(24);
+        let (_tx, rx) = bounded(1);
+        let mut worker = ShardWorker::new(
+            0,
+            &cfg,
+            ctx,
+            Bus::new(),
+            FaultScheduler::compile(&FaultPlan::new(1), horizon),
+            rx,
+            Arc::new(ShardStats::new()),
+        );
+        let mut accepted: Vec<ShardCheckpoint> = Vec::new();
+        for m in 0..90u32 {
+            for (tenant, badge) in [(0, 0), (0, 1), (1, 0)] {
+                let record = sync_at(1, 8 + m / 60, m % 60, 0);
+                worker.advance(record.t_local());
+                worker.append_and_apply(WalEntry::Record {
+                    tenant: TenantId(tenant),
+                    badge: BadgeId(badge),
+                    record,
+                });
+                if worker.checkpoints > accepted.len() as u64 {
+                    for live in worker.live.values() {
+                        for day in live.day.values() {
+                            assert_eq!(day.tail.record_count(), 0, "tail left open");
+                        }
+                    }
+                    let (_, ckpt) = worker.vault.latest().expect("accepted");
+                    accepted.push(ckpt.clone());
+                }
+            }
+        }
+        assert!(accepted.len() >= 4, "cadence ran: {}", accepted.len());
+        for pair in accepted.windows(2) {
+            let (first, second) = (&pair[0], &pair[1]);
+            assert!(second.cursor() > first.cursor());
+            // Tenants and badges only join as their first record arrives.
+            for (tenant, a) in &first.tenants {
+                let (_, b) = second
+                    .tenants
+                    .iter()
+                    .find(|(t, _)| t == tenant)
+                    .expect("a tenant stays in later checkpoints");
+                for (badge, old) in &a.segments {
+                    let (_, new) = b
+                        .segments
+                        .iter()
+                        .find(|(id, _)| id == badge)
+                        .expect("a badge stays for the rest of its day");
+                    assert!(new.len() > old.len(), "each checkpoint seals new records");
+                    for (x, y) in old.iter().zip(new) {
+                        assert!(Arc::ptr_eq(x, y), "a sealed segment was copied");
+                    }
+                }
+            }
+        }
     }
 }
