@@ -5,7 +5,7 @@
 //! interned world/roster/schedule/context shared by every variant), fans the
 //! `(habitat, badge, day)` work units across shards through the generalized
 //! [`MissionEngine`] executor, and aggregates the per-shard
-//! [`EngineMetrics`] into a fleet scorecard — badge-days/s, recorded bytes,
+//! [`EngineMetrics`](ares_sociometrics::engine::EngineMetrics) into a fleet scorecard — badge-days/s, recorded bytes,
 //! per-stage throughput — plus a CTMC availability drill of each shard's
 //! replicated analysis service through the support crate's failure detector.
 //!

@@ -1,5 +1,6 @@
-//! Runs the complete reproduction: every figure, the table, the statistics,
-//! and the shape-check claim table recorded in EXPERIMENTS.md.
+//! Runs the complete reproduction: every figure, the table (with the
+//! paper's reference rows), the statistics, and the shape-check claim table
+//! recorded in EXPERIMENTS.md.
 use ares_crew::roster::AstronautId;
 use ares_icares::{calibration, figures};
 
@@ -23,6 +24,8 @@ fn main() {
         "==================== Fig. 2 ====================\n{}",
         fig2.render()
     );
+    let (from, to, n) = fig2.hottest();
+    println!("hottest corridor: {from} → {to} ({n} passages)");
     println!(
         "==================== Fig. 3 ====================\n{}",
         fig3.ascii
@@ -49,6 +52,11 @@ fn main() {
         "==================== Table I ===================\n{}",
         table1.render()
     );
+    println!("paper reference:\nid  company  authority  talking  walking");
+    for (a, (c, au, ta, wa)) in AstronautId::ALL.into_iter().zip(calibration::TABLE1_PAPER) {
+        let f = |v: Option<f64>| v.map_or("n/a".into(), |x| format!("{x:.2}"));
+        println!("{a}   {:>7}  {:>9}  {ta:>7.2}  {wa:>7.2}", f(c), f(au));
+    }
     println!(
         "==================== Stats =====================\n{}",
         stats.render()

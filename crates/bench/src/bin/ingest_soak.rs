@@ -21,8 +21,7 @@
 //! cargo run --release -p ares-bench --bin ingest_soak [out.json]
 //! ```
 
-use ares_badge::records::{BadgeId, BeaconScan};
-use ares_badge::telemetry::TelemetryStore;
+use ares_badge::records::BadgeId;
 use ares_icares::MissionRunner;
 use ares_simkit::time::SimTime;
 use ares_sociometrics::pipeline::MissionAnalysis;
@@ -30,50 +29,13 @@ use ares_sociometrics::report::engine_section_with_ingest;
 use ares_support::bus::Bus;
 use ares_support::chaos::{Fault, FaultPlan};
 use ares_support::ingest::{
-    BackpressurePolicy, IngestConfig, IngestRunReport, IngestServer, TelemetryRecord, TenantId,
+    wire_feed, BackpressurePolicy, IngestConfig, IngestRunReport, IngestServer, TelemetryRecord,
+    TenantId,
 };
 use std::time::Instant;
 
 const DAY: u32 = 3;
 const SCORECARD_PATH: &str = "artifacts/ingest_scorecard.txt";
-
-/// Flattens recorded per-badge stores into one multiplexed wire feed, stably
-/// ordered by badge-local timestamp.
-fn flatten(stores: &[TelemetryStore]) -> Vec<(BadgeId, TelemetryRecord)> {
-    let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
-    for store in stores {
-        let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
-        }
-        for a in v.audio_frames() {
-            feed.push((store.badge, TelemetryRecord::Audio(a)));
-        }
-        for s in v.imu_samples() {
-            feed.push((store.badge, TelemetryRecord::Imu(s)));
-        }
-        for e in v.env_samples() {
-            feed.push((store.badge, TelemetryRecord::Env(e)));
-        }
-        for p in v.proximity_obs() {
-            feed.push((store.badge, TelemetryRecord::Proximity(p)));
-        }
-        for c in v.ir_contacts() {
-            feed.push((store.badge, TelemetryRecord::Ir(c)));
-        }
-        for s in v.sync_samples() {
-            feed.push((store.badge, TelemetryRecord::Sync(s)));
-        }
-    }
-    feed.sort_by_key(|(_, r)| r.t_local());
-    feed
-}
 
 /// Streams the feed to two tenants (one per shard), closes the day, and
 /// reports both the run outcome and the submit-to-finish wall time.
@@ -112,7 +74,7 @@ fn main() {
     let ctx = runner.pipeline().context().clone();
     eprintln!("recording mission day {DAY}…");
     let stores = runner.record_day_stores(DAY);
-    let feed = flatten(&stores);
+    let feed = wire_feed(&stores);
     let cfg = IngestConfig::icares_day(DAY);
     // Every record goes to both tenants — one per shard — so the submitted
     // volume is twice the feed.

@@ -1,13 +1,15 @@
 //! Scenario-generation soak: dozens of seeded, validated scenarios driven
 //! through the full vertical slice.
 //!
-//! For each seed the soak generates a [`ScenarioSpec`], checks it against
-//! the layout rulebook ([`ares_scenario::validate`]), assembles the
-//! deployment through [`MissionRunner`] and proves the engine's invariants
-//! hold on the *generated* geometry, not just the canonical Lunares world:
+//! For each seed the soak generates a
+//! [`ScenarioSpec`](ares_scenario::ScenarioSpec), checks it against the
+//! layout rulebook ([`ares_scenario::validate()`]), assembles the deployment
+//! through [`MissionRunner`] and proves the engine's invariants hold on the
+//! *generated* geometry, not just the canonical Lunares world:
 //!
 //! * recording is bit-identical sequential vs. parallel vs. exact-geometry
-//!   vs. the retained pre-batching scalar tick loop (the [`RfFieldCache`]
+//!   vs. the retained pre-batching scalar tick loop (the
+//!   [`RfFieldCache`](ares_habitat::fieldcache::RfFieldCache)
 //!   purity contract and the batched-kernel equivalence contract —
 //!   `.to_bits()` RSSI equality, since the columnar stores compare byte
 //!   for byte);
@@ -34,12 +36,14 @@
 //! BENCH_TS=<unix-seconds> …  # pins the history timestamp
 //! ```
 
-use ares_badge::records::{BadgeId, BeaconScan, SamplingConfig};
+use ares_badge::records::{BadgeId, SamplingConfig};
+use ares_badge::telemetry::TelemetryStore;
 use ares_icares::{MissionRunner, ScenarioConfig, FIRST_INSTRUMENTED_DAY};
 use ares_scenario::{generate, validate};
+use ares_sociometrics::engine::MissionEngine;
 use ares_sociometrics::report::{scenario_section, ScenarioPlanRow};
 use ares_sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
-use ares_support::ingest::TelemetryRecord;
+use ares_support::ingest::{wire_feed, TelemetryRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -86,31 +90,8 @@ fn apply_record(
 /// Streams the day's interleaved feed twice — uninterrupted, and
 /// checkpointed at the midpoint then restored into a fresh analyzer — and
 /// returns whether events and final checkpoint bytes are identical.
-fn streaming_replay_identical(runner: &MissionRunner, day: u32) -> bool {
-    let stores = runner.record_day_stores(day);
-    let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
-    for store in stores.iter().take(STREAM_BADGES) {
-        let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
-        }
-        for a in v.audio_frames() {
-            feed.push((store.badge, TelemetryRecord::Audio(a)));
-        }
-        for s in v.imu_samples() {
-            feed.push((store.badge, TelemetryRecord::Imu(s)));
-        }
-        for s in v.sync_samples() {
-            feed.push((store.badge, TelemetryRecord::Sync(s)));
-        }
-    }
-    feed.sort_by_key(|(_, r)| r.t_local());
+fn streaming_replay_identical(runner: &MissionRunner, stores: &[TelemetryStore], day: u32) -> bool {
+    let feed = wire_feed(&stores[..STREAM_BADGES.min(stores.len())]);
     let ctx = runner.pipeline().context().clone();
     let end = ares_simkit::time::SimTime::from_day_hms(day + 1, 0, 0, 0);
 
@@ -177,15 +158,15 @@ fn main() {
         let record_ok = runner.record_day_stores_scalar(day) == stores
             && runner.record_day_stores_parallel(day, 4) == stores
             && runner.record_day_stores_exact(day) == stores;
-        drop(stores);
+
+        // Streaming bit-identity: checkpoint/restore replay of the live feed.
+        let stream_ok = streaming_replay_identical(&runner, &stores, day);
 
         // Analysis bit-identity: batch fold vs. the parallel mission engine.
         let batch = serde_json::to_string(&runner.run_days(day, day, |_| {}));
-        let (parallel, _) = runner.run_days_parallel(day, day, 4);
+        let engine = MissionEngine::with_workers(runner.pipeline().context_arc(), 4);
+        let parallel = engine.analyze_days_stores(&[(day, stores)]);
         let analyze_ok = batch == serde_json::to_string(&parallel);
-
-        // Streaming bit-identity: checkpoint/restore replay of the live feed.
-        let stream_ok = streaming_replay_identical(&runner, day);
 
         let deterministic = record_ok && analyze_ok && stream_ok;
         if !deterministic {

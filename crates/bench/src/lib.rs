@@ -1,17 +1,18 @@
-//! `ares-bench` — Criterion benchmarks and paper-reproduction binaries.
+//! `ares-bench` — Criterion benchmarks, the paper reproduction and the
+//! tier-1 soaks.
 //!
-//! Binaries (each regenerates one artifact of the paper):
+//! Binaries:
 //!
-//! | binary | artifact |
+//! | binary | what it runs |
 //! |---|---|
-//! | `fig2` | Fig. 2 room-passage matrix |
-//! | `fig3` | Fig. 3 positional heatmap of astronaut A |
-//! | `fig4` | Fig. 4 daily walking fractions |
-//! | `fig5` | Fig. 5 death-day location/speech timeline |
-//! | `fig6` | Fig. 6 daily speech fractions |
-//! | `table1` | Table I centrality/talking/walking |
-//! | `stats` | prose statistics (volume, wear, sessions, pairs, anomalies) |
-//! | `full_repro` | everything + the EXPERIMENTS.md claim table |
+//! | `full_repro` | Fig. 2–6, Table I, the prose statistics, the survey cross-check and the EXPERIMENTS.md claim table; writes `artifacts/` |
+//! | `seeds` | the structural claims re-checked across reseeded missions |
+//! | `chaos` | the fault-injection reliability sweep |
+//! | `bench_smoke` | recording and per-stage engine timings → `BENCH_pipeline.json` |
+//! | `ingest_soak` | the sharded ingest service and its kill-a-shard drill |
+//! | `fleet_soak` | hundreds of habitat variants behind the sharded scheduler |
+//! | `scenario_soak` | generated scenarios through the full slice |
+//! | `bench_guard` | every tier-1 floor over `BENCH_pipeline.json` |
 //!
 //! Benches: `kernel` (simkit/habitat micro-benchmarks), `pipeline`
 //! (pipeline-stage throughput), `ablations` (design-choice comparisons).

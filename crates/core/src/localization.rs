@@ -751,8 +751,8 @@ fn solve_lanes(
 /// `smoothing_window` classifiable scans, flushed on a room change) without
 /// copying any hits — and scatter-merges each window into fixed per-beacon
 /// accumulators, gathering each scan's in-room anchors (RSSI still as
-/// `sum`/`count` pairs) into flat SoA buffers. Every [`BLOCK_SCANS`] scans,
-/// phase B ([`BatchScratch::flush`]) averages, ranges, and solves the whole
+/// `sum`/`count` pairs) into flat SoA buffers. Every `BLOCK_SCANS` scans,
+/// phase B (`BatchScratch::flush`) averages, ranges, and solves the whole
 /// block lane-wide.
 ///
 /// Every per-scan floating-point operation matches

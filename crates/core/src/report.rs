@@ -173,9 +173,6 @@ pub struct IngestShardRow {
     pub ingested: u64,
     /// Records shed at the front door, per family label (zeros included).
     pub dropped: Vec<(String, u64)>,
-    /// Current bounded-queue depth when the row was sampled (zero after a
-    /// clean drain).
-    pub queue_depth: usize,
     /// High-water mark of the bounded queue over the run.
     pub queue_peak: usize,
     /// Backup promotions the shard survived.
@@ -198,15 +195,14 @@ impl IngestShardRow {
 #[must_use]
 pub fn ingest_section(rows: &[IngestShardRow]) -> String {
     let mut out = String::from(
-        "ingest service health\nshard  ingested  dropped  depth  peak  failovers  checkpoints\n",
+        "ingest service health\nshard  ingested  dropped  peak  failovers  checkpoints\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>5}  {:>8}  {:>7}  {:>5}  {:>4}  {:>9}  {:>11}\n",
+            "{:>5}  {:>8}  {:>7}  {:>4}  {:>9}  {:>11}\n",
             r.shard,
             r.ingested,
             r.dropped_total(),
-            r.queue_depth,
             r.queue_peak,
             r.failovers,
             r.checkpoints,
@@ -430,7 +426,6 @@ mod tests {
                 shard: 0,
                 ingested: 1000,
                 dropped: vec![("scan".into(), 0), ("audio".into(), 7)],
-                queue_depth: 3,
                 queue_peak: 64,
                 failovers: 1,
                 checkpoints: 4,
@@ -439,7 +434,6 @@ mod tests {
                 shard: 1,
                 ingested: 900,
                 dropped: vec![("scan".into(), 0)],
-                queue_depth: 0,
                 queue_peak: 12,
                 failovers: 0,
                 checkpoints: 5,
@@ -449,6 +443,14 @@ mod tests {
         let s = ingest_section(&rows);
         assert!(s.contains("ingest service health"));
         assert_eq!(s.lines().count(), 5, "header + 2 shards + shed line:\n{s}");
+        assert_eq!(
+            s.lines().nth(1),
+            Some("shard  ingested  dropped  peak  failovers  checkpoints")
+        );
+        assert_eq!(
+            s.lines().nth(2),
+            Some("    0      1000        7    64          1            4")
+        );
         assert!(s.contains("shard 0 audio: 7"), "typed drops surfaced:\n{s}");
         assert!(
             !s.contains("shard 0 scan"),

@@ -140,8 +140,8 @@ pub fn analyze_iter(
     assemble_track(intervals, &utterances, &candidates, params)
 }
 
-/// [`analyze`] over the columnar audio view — the batched hot path driven by
-/// the engine.
+/// [`analyze_iter`] over the columnar audio view — the batched hot path
+/// driven by the engine.
 ///
 /// One fused pass replaces the scalar kernel's frame materialization and
 /// three separate sweeps: reference times come from the lane-batched
@@ -152,7 +152,7 @@ pub fn analyze_iter(
 /// accumulate through branch-free selects (adding a literal `+0.0` for
 /// non-qualifying frames, which cannot change any reachable sum — the
 /// accumulators start at `+0.0` and can never become `-0.0`); and utterance
-/// assembly runs over a pre-filtered candidate list ([`Utterance`] runs only
+/// assembly runs over a pre-filtered candidate list (`Utterance` runs only
 /// ever contain voiced, pitched frames at or above the lower of the two
 /// level thresholds, and skipped frames could only have forced a flush that
 /// the next retained frame or end-of-stream forces anyway, with the same run

@@ -50,7 +50,7 @@
 //! `FloorPlan::room_at` tests rooms in a fixed priority order with closed
 //! (boundary-inclusive, ≈1e-9 tolerance) containment. A cell is tabulated as
 //! room `r` only when every higher-priority room is separated from the cell
-//! by more than [`ROOM_MARGIN_M`] (so containment is false everywhere in the
+//! by more than `ROOM_MARGIN_M` (so containment is false everywhere in the
 //! cell) and the cell is wholly inside `r`'s closed rectangle (non-rectangular
 //! rooms are never tabulated). The grid is offset from the plan bounds by
 //! [`EDGE_OFFSET_M`] so cell edges never coincide with the integer / half-odd

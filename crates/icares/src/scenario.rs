@@ -17,6 +17,7 @@ use ares_badge::records::SamplingConfig;
 use ares_badge::telemetry::TelemetryStore;
 use ares_badge::world::{RfMode, World};
 use ares_crew::behavior::{BehaviorConfig, BehaviorSim};
+use ares_crew::incidents::IncidentScript;
 use ares_crew::roster::Roster;
 use ares_crew::schedule::{Schedule, MISSION_DAYS};
 use ares_crew::truth::MissionTruth;
@@ -25,7 +26,7 @@ use ares_habitat::floorplan::FloorPlan;
 use ares_scenario::ScenarioSpec;
 use ares_simkit::geometry::Point2;
 use ares_simkit::rng::SeedTree;
-use ares_sociometrics::engine::{EngineMetrics, MissionContext, MissionEngine};
+use ares_sociometrics::engine::{MissionContext, MissionEngine};
 use ares_sociometrics::fleet::{FleetConfig, HabitatSource, OpenHabitat};
 use ares_sociometrics::pipeline::{DayAnalysis, MissionAnalysis, PipelineParams};
 use rand::Rng;
@@ -52,7 +53,7 @@ pub struct ScenarioConfig {
     pub pipeline: PipelineParams,
     /// The incident script (the canonical ICAres-1 one by default; tests
     /// inject extra failures here).
-    pub incidents: ares_crew::incidents::IncidentScript,
+    pub incidents: IncidentScript,
     /// Last mission day to simulate ground truth for; `0` means the full
     /// mission. Fleet runs that only record a few days set this to the last
     /// recorded day — truth generation is day-sequential from one stream, so
@@ -68,7 +69,7 @@ impl Default for ScenarioConfig {
             behavior: BehaviorConfig::default(),
             sampling: SamplingConfig::default(),
             pipeline: PipelineParams::default(),
-            incidents: ares_crew::incidents::IncidentScript::icares(),
+            incidents: IncidentScript::icares(),
             truth_days: 0,
         }
     }
@@ -150,26 +151,8 @@ impl MissionRunner {
     /// can inject extra failures on top of the spec's script).
     #[must_use]
     pub fn new(config: ScenarioConfig) -> Self {
-        let spec = &config.spec;
-        let plan = FloorPlan::from_spec(&spec.habitat);
-        let beacons = BeaconDeployment::from_spec(&spec.habitat, &plan);
-        let station = Point2::new(spec.habitat.station.0, spec.habitat.station.1);
-        let world = World::from_parts(
-            plan.clone(),
-            beacons.clone(),
-            config.incidents.clone(),
-            station,
-        );
-        let roster = Roster::from_spec(&spec.crew);
-        let schedule = Schedule::from_spec(&spec.schedule);
-        let ctx = MissionContext::new(plan, beacons, schedule.clone(), config.pipeline);
-        MissionRunner::with_shared(
-            Arc::new(world),
-            Arc::new(roster),
-            Arc::new(schedule),
-            Arc::new(ctx),
-            config,
-        )
+        let d = FleetScenario::assemble(&config.spec, &config.incidents, config.pipeline);
+        MissionRunner::with_shared(d.world, d.roster, d.schedule, d.ctx, config)
     }
 
     /// Builds a scenario over an already-interned deployment: shared world
@@ -325,26 +308,6 @@ impl MissionRunner {
     pub fn run_mission(&self) -> MissionAnalysis {
         self.run_days(FIRST_INSTRUMENTED_DAY, MISSION_DAYS, |_| {})
     }
-
-    /// Runs the instrumented days `from..=to` through the deterministic
-    /// parallel [`MissionEngine`], fanning badge-days across `workers`
-    /// threads. The result is bit-identical to [`Self::run_days`]; returns
-    /// the engine's accumulated per-stage metrics alongside.
-    #[must_use]
-    pub fn run_days_parallel(
-        &self,
-        from: u32,
-        to: u32,
-        workers: usize,
-    ) -> (MissionAnalysis, EngineMetrics) {
-        let engine = MissionEngine::with_workers(self.pipeline.context_arc(), workers);
-        let days: Vec<(u32, Vec<TelemetryStore>)> = (from..=to.min(MISSION_DAYS))
-            .map(|day| (day, self.record_day_stores(day)))
-            .collect();
-        let mission = engine.analyze_days_stores(&days);
-        let metrics = engine.metrics();
-        (mission, metrics)
-    }
 }
 
 /// A fleet of seeded ICAres-style habitats sharing one interned deployment.
@@ -376,21 +339,22 @@ impl FleetScenario {
     /// schedule and analysis context.
     #[must_use]
     pub fn from_spec(spec: &ScenarioSpec) -> Self {
+        FleetScenario::assemble(spec, &spec.incidents, PipelineParams::default())
+    }
+
+    /// Builds the deployment `spec` describes — plan, beacons, world (with
+    /// `incidents` as its script), roster, schedule and analysis context.
+    /// [`MissionRunner::new`] assembles its deployment here too.
+    fn assemble(spec: &ScenarioSpec, incidents: &IncidentScript, params: PipelineParams) -> Self {
         let plan = FloorPlan::from_spec(&spec.habitat);
         let beacons = BeaconDeployment::from_spec(&spec.habitat, &plan);
         let station = Point2::new(spec.habitat.station.0, spec.habitat.station.1);
-        let world = World::from_parts(
-            plan.clone(),
-            beacons.clone(),
-            spec.incidents.clone(),
-            station,
-        );
-        let roster = Roster::from_spec(&spec.crew);
+        let world = World::from_parts(plan.clone(), beacons.clone(), incidents.clone(), station);
         let schedule = Schedule::from_spec(&spec.schedule);
-        let ctx = MissionContext::new(plan, beacons, schedule.clone(), PipelineParams::default());
+        let ctx = MissionContext::new(plan, beacons, schedule.clone(), params);
         FleetScenario {
             world: Arc::new(world),
-            roster: Arc::new(roster),
+            roster: Arc::new(Roster::from_spec(&spec.crew)),
             schedule: Arc::new(schedule),
             ctx: Arc::new(ctx),
         }

@@ -3,16 +3,14 @@
 //! The reproduction originally knew exactly one world: the hand-coded
 //! Lunares habitat with the paper's crew. This crate turns that scenario
 //! into *data* — a typed [`ScenarioSpec`] combining a
-//! [`HabitatSpec`](ares_habitat::spec::HabitatSpec), a
-//! [`CrewSpec`](ares_crew::spec::CrewSpec), a
-//! [`ScheduleSpec`](ares_crew::spec::ScheduleSpec) and an
-//! [`IncidentScript`](ares_crew::incidents::IncidentScript) — plus:
+//! [`HabitatSpec`], a [`CrewSpec`], a [`ScheduleSpec`] and an
+//! [`IncidentScript`] — plus:
 //!
-//! * [`generate`] — a deterministic seeded generator producing valid
+//! * [`generate()`] — a deterministic seeded generator producing valid
 //!   scenario specs within the engine-sound plan family (contiguous module
 //!   row of uniform depth, doors only in south walls, hangar over the
 //!   airlock, charging station in the hall);
-//! * [`validate`] — the habitat-layout rulebook: net-habitable-volume
+//! * [`validate()`] — the habitat-layout rulebook: net-habitable-volume
 //!   minimums, door widths and clearances, zoning adjacency constraints,
 //!   door connectivity, beacon coverage and crew/schedule sanity.
 //!

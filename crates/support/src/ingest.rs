@@ -1,4 +1,4 @@
-//! Multi-tenant streaming ingest: the analyzer as a long-running service.
+//! Multi-tenant streaming ingest: the day analysis as a long-running service.
 //!
 //! The paper's Section VI support system is always on: telemetry from every
 //! badge in every habitat keeps arriving, and analysis must keep up without
@@ -10,6 +10,13 @@
 //! an explicit [`BackpressurePolicy`]: block the producer, or shed the record
 //! and count the loss per [`RecordKind`] — drops are typed, surfaced on the
 //! support bus ([`Topic::Ingest`]) and in the mission report, never silent.
+//!
+//! A shard holds, per tenant, exactly what it serves: the current day's
+//! telemetry per badge, the accumulated `MissionAnalysis`, and the applied
+//! record and day counts. A day end ([`IngestServer::end_day`]) joins the
+//! day's telemetry into per-badge stores and runs the seven-stage day
+//! analysis on them. [`wire_feed`] is the inverse: it flattens recorded stores into the
+//! time-ordered record feed a producer submits.
 //!
 //! ## Recovery protocol
 //!
@@ -34,8 +41,8 @@
 //!    promotes a backup, which restores the vault's latest checkpoint and
 //!    replays every WAL entry past the checkpoint cursor.
 //!
-//! Because entries reach the WAL before they reach the analyzer, application
-//! is deterministic, and checkpoint restore is exact, the recovered state is
+//! Because entries reach the WAL before they are applied, application is
+//! deterministic, and checkpoint restore is exact, the recovered state is
 //! **byte-identical** to an unfaulted run — the same bit-determinism
 //! contract the batch engine holds at any worker count, now held across
 //! crash-and-recover. `tests/ingest_service.rs` and the `ingest_soak` bench
@@ -53,7 +60,7 @@ use ares_simkit::time::{SimDuration, SimTime};
 use ares_sociometrics::engine::{analyze_day_stores, EngineMetrics, MissionContext};
 use ares_sociometrics::pipeline::MissionAnalysis;
 use ares_sociometrics::report::IngestShardRow;
-use ares_sociometrics::streaming::{AnalyzerCheckpoint, CheckpointCadence, StreamingAnalyzer};
+use ares_sociometrics::streaming::CheckpointCadence;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -112,6 +119,52 @@ impl TelemetryRecord {
             TelemetryRecord::Sync(_) => RecordKind::Sync,
         }
     }
+
+    /// Appends the record to its column of `store`.
+    pub fn push_into(self, store: &mut TelemetryStore) {
+        match self {
+            TelemetryRecord::Scan(r) => store.push_scan(r),
+            TelemetryRecord::Audio(r) => store.push_audio(r),
+            TelemetryRecord::Imu(r) => store.push_imu(r),
+            TelemetryRecord::Env(r) => store.push_env(r),
+            TelemetryRecord::Proximity(r) => store.push_proximity(r),
+            TelemetryRecord::Ir(r) => store.push_ir(r),
+            TelemetryRecord::Sync(r) => store.push_sync(r),
+        }
+    }
+}
+
+/// Flattens recorded per-badge stores into one multiplexed wire feed, ordered
+/// by badge-local timestamp: the records a producer submits to serve those
+/// stores, and the inverse of the shard's day-end join.
+///
+/// The sort is stable, so records with equal timestamps keep store order,
+/// then column order (scan, audio, IMU, env, proximity, IR, sync), then
+/// column position. Pushing the feed, in order, into one empty store per
+/// badge with [`TelemetryRecord::push_into`] gives back the input stores,
+/// apart from their `bytes_written` meters.
+#[must_use]
+pub fn wire_feed(stores: &[TelemetryStore]) -> Vec<(BadgeId, TelemetryRecord)> {
+    let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
+    for store in stores {
+        let v = store.view();
+        let badge = store.badge;
+        feed.extend(v.scan_hits().map(|(t_local, hits)| {
+            let hits = hits.to_vec();
+            (badge, TelemetryRecord::Scan(BeaconScan { t_local, hits }))
+        }));
+        feed.extend(v.audio_frames().map(|r| (badge, TelemetryRecord::Audio(r))));
+        feed.extend(v.imu_samples().map(|r| (badge, TelemetryRecord::Imu(r))));
+        feed.extend(v.env_samples().map(|r| (badge, TelemetryRecord::Env(r))));
+        feed.extend(
+            v.proximity_obs()
+                .map(|r| (badge, TelemetryRecord::Proximity(r))),
+        );
+        feed.extend(v.ir_contacts().map(|r| (badge, TelemetryRecord::Ir(r))));
+        feed.extend(v.sync_samples().map(|r| (badge, TelemetryRecord::Sync(r))));
+    }
+    feed.sort_by_key(|(_, r)| r.t_local());
+    feed
 }
 
 /// The seven telemetry families, for typed shed counters.
@@ -226,14 +279,20 @@ impl IngestConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `local` is out of range for the configured replica count.
+    /// Panics if `local` is out of range for the configured replica count,
+    /// or if the id does not fit the 256 [`ReplicaId`]s.
     #[must_use]
     pub fn replica(&self, shard: usize, local: u8) -> ReplicaId {
         assert!(
             local < self.replicas_per_shard,
             "replica index out of range"
         );
-        ReplicaId(u8::try_from(shard).expect("shard fits u8") * self.replicas_per_shard + local)
+        let id = shard
+            .checked_mul(usize::from(self.replicas_per_shard))
+            .and_then(|first| first.checked_add(usize::from(local)))
+            .and_then(|id| u8::try_from(id).ok())
+            .expect("replica id exceeds the 256 ReplicaIds");
+        ReplicaId(id)
     }
 
     fn replica_set(&self, shard: usize) -> Vec<ReplicaId> {
@@ -248,7 +307,6 @@ impl IngestConfig {
 /// copies no record.
 #[derive(Debug, Clone)]
 pub struct TenantCheckpoint {
-    analyzer: AnalyzerCheckpoint,
     segments: Vec<(BadgeId, Vec<Arc<TelemetryStore>>)>,
     analysis: Arc<MissionAnalysis>,
     records: u64,
@@ -360,7 +418,6 @@ impl BadgeDay {
 
 /// Live (unreplicated) per-tenant state owned by a shard's primary.
 struct TenantLive {
-    analyzer: StreamingAnalyzer,
     day: BTreeMap<BadgeId, BadgeDay>,
     analysis: Arc<MissionAnalysis>,
     records: u64,
@@ -370,7 +427,6 @@ struct TenantLive {
 impl TenantLive {
     fn fresh(ctx: &MissionContext) -> Self {
         TenantLive {
-            analyzer: StreamingAnalyzer::with_context(ctx.clone()),
             day: BTreeMap::new(),
             analysis: Arc::new(MissionAnalysis::new(&ctx.plan)),
             records: 0,
@@ -380,9 +436,8 @@ impl TenantLive {
 
     /// Seals every badge's tail and snapshots the segment lists: a
     /// checkpoint shares the day's telemetry instead of copying it.
-    fn checkpoint(&mut self, now: SimTime) -> TenantCheckpoint {
+    fn checkpoint(&mut self) -> TenantCheckpoint {
         TenantCheckpoint {
-            analyzer: self.analyzer.checkpoint(now),
             segments: self
                 .day
                 .iter_mut()
@@ -394,11 +449,8 @@ impl TenantLive {
         }
     }
 
-    fn restore(ctx: &MissionContext, ckpt: &TenantCheckpoint) -> Self {
-        let mut analyzer = StreamingAnalyzer::with_context(ctx.clone());
-        analyzer.restore(&ckpt.analyzer);
+    fn restore(ckpt: &TenantCheckpoint) -> Self {
         TenantLive {
-            analyzer,
             day: ckpt
                 .segments
                 .iter()
@@ -466,8 +518,6 @@ pub struct TenantReport {
     pub analysis: MissionAnalysis,
     /// Telemetry records applied for this tenant.
     pub records: u64,
-    /// Live events the streaming analyzer emitted.
-    pub events: u64,
     /// Mission days folded into `analysis`.
     pub days: u64,
 }
@@ -557,7 +607,6 @@ impl IngestRunReport {
             .iter()
             .map(|s| IngestShardRow {
                 shard: s.shard,
-                queue_depth: 0,
                 ingested: s.tenants.iter().map(|(_, r)| r.records).sum(),
                 dropped: s
                     .dropped
@@ -596,11 +645,21 @@ impl IngestServer {
     ///
     /// # Panics
     ///
-    /// Panics if the config has zero shards, replicas, or queue capacity.
+    /// Panics if the config has zero shards, replicas, or queue capacity, or
+    /// more than 256 replicas in all (`shards × replicas_per_shard`): every
+    /// replica needs its own [`ReplicaId`], or a fault plan aimed at one
+    /// shard would hit another. It panics before it spawns any thread.
     #[must_use]
     pub fn spawn(config: IngestConfig, ctx: &MissionContext, bus: Bus, plan: &FaultPlan) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         assert!(config.replicas_per_shard > 0, "need at least one replica");
+        assert!(
+            config
+                .shards
+                .checked_mul(usize::from(config.replicas_per_shard))
+                .is_some_and(|n| n <= 256),
+            "more than 256 replicas: shards × replicas_per_shard must fit the ReplicaId space"
+        );
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let horizon = config.span.end + SimDuration::from_hours(24);
         let mut txs = Vec::with_capacity(config.shards);
@@ -908,8 +967,7 @@ impl ShardWorker {
         if let Some((at, ckpt)) = self.vault.latest() {
             self.cursor = ckpt.cursor;
             for (tenant, tckpt) in &ckpt.tenants {
-                self.live
-                    .insert(*tenant, TenantLive::restore(&self.ctx, tckpt));
+                self.live.insert(*tenant, TenantLive::restore(tckpt));
             }
             self.replays += 1;
             let gap = self.clock - at;
@@ -957,7 +1015,7 @@ impl ShardWorker {
             tenants: self
                 .live
                 .iter_mut()
-                .map(|(t, l)| (*t, l.checkpoint(self.clock)))
+                .map(|(t, l)| (*t, l.checkpoint()))
                 .collect(),
         };
         let cursor = self.cursor;
@@ -1008,7 +1066,6 @@ impl ShardWorker {
                         TenantReport {
                             analysis: Arc::unwrap_or_clone(l.analysis),
                             records: l.records,
-                            events: l.analyzer.events_emitted(),
                             days: l.days,
                         },
                     )
@@ -1038,32 +1095,11 @@ fn apply(
             let live = live
                 .entry(*tenant)
                 .or_insert_with(|| TenantLive::fresh(ctx));
-            let store = &mut live
+            let day = live
                 .day
                 .entry(*badge)
-                .or_insert_with(|| BadgeDay::new(*badge))
-                .tail;
-            match record {
-                TelemetryRecord::Scan(r) => {
-                    store.push_scan(r.clone());
-                    let _ = live.analyzer.ingest_scan(*badge, r);
-                }
-                TelemetryRecord::Audio(r) => {
-                    store.push_audio(*r);
-                    let _ = live.analyzer.ingest_audio(*badge, r);
-                }
-                TelemetryRecord::Imu(r) => {
-                    store.push_imu(*r);
-                    let _ = live.analyzer.ingest_imu(*badge, r);
-                }
-                TelemetryRecord::Env(r) => store.push_env(*r),
-                TelemetryRecord::Proximity(r) => store.push_proximity(*r),
-                TelemetryRecord::Ir(r) => store.push_ir(*r),
-                TelemetryRecord::Sync(r) => {
-                    store.push_sync(*r);
-                    live.analyzer.ingest_sync(*badge, r);
-                }
-            }
+                .or_insert_with(|| BadgeDay::new(*badge));
+            record.clone().push_into(&mut day.tail);
             live.records += 1;
         }
         WalEntry::DayEnd { tenant, day } => {
@@ -1119,48 +1155,107 @@ mod tests {
         assert_eq!(cfg.replica(1, 2), ReplicaId(5));
     }
 
-    #[test]
-    fn record_kinds_cover_every_record() {
-        let t = SimTime::from_day_hms(1, 8, 0, 0);
-        let records = [
+    /// One record of every family at `t`; `k` varies the payloads.
+    fn one_of_each(t: SimTime, k: u8) -> [TelemetryRecord; 7] {
+        let x = f64::from(k);
+        [
             TelemetryRecord::Scan(BeaconScan {
                 t_local: t,
                 hits: Vec::new(),
             }),
             TelemetryRecord::Audio(AudioFrame {
                 t_local: t,
-                level_db: 40.0,
+                level_db: 40.0 + x,
                 voiced: false,
                 f0_hz: None,
             }),
             TelemetryRecord::Imu(ImuSample {
                 t_local: t,
-                accel_var: 0.1,
+                accel_var: 0.1 * x,
                 accel_mean: 9.8,
                 step_hz: None,
             }),
             TelemetryRecord::Env(EnvSample {
                 t_local: t,
-                temperature_c: 21.0,
+                temperature_c: 21.0 + x,
                 pressure_hpa: 1013.0,
                 light_lux: 300.0,
             }),
             TelemetryRecord::Proximity(ProximityObs {
                 t_local: t,
-                other: BadgeId(1),
-                rssi: -60.0,
+                other: BadgeId(k % 3),
+                rssi: -60.0 - x,
             }),
             TelemetryRecord::Ir(IrContact {
                 t_local: t,
-                other: BadgeId(1),
+                other: BadgeId(k % 5),
             }),
-            sync_at(1, 8, 0, 0),
-        ];
+            TelemetryRecord::Sync(SyncSample {
+                t_local: t,
+                t_reference: t + SimDuration::from_secs(i64::from(k)),
+            }),
+        ]
+    }
+
+    #[test]
+    fn record_kinds_cover_every_record() {
+        let t = SimTime::from_day_hms(1, 8, 0, 0);
+        let records = one_of_each(t, 1);
         let kinds: Vec<RecordKind> = records.iter().map(TelemetryRecord::kind).collect();
         assert_eq!(kinds, RecordKind::ALL.to_vec());
         for r in &records {
             assert_eq!(r.t_local(), t);
         }
+    }
+
+    /// Flattening stores and pushing the feed back, badge by badge, gives
+    /// the stores back: equal timestamps, across families and within one
+    /// column, keep their order.
+    #[test]
+    fn wire_feed_round_trips_into_per_badge_stores() {
+        let mut stores: Vec<TelemetryStore> =
+            (0..3).map(|b| TelemetryStore::new(BadgeId(b))).collect();
+        for k in 0..40u8 {
+            // Two rounds share each timestamp; badge 2 runs a minute behind.
+            let minute = u32::from(k / 2);
+            for store in &mut stores {
+                let lag = u32::from(store.badge.0 / 2);
+                let t = SimTime::from_day_hms(1, 8, minute + lag, 0);
+                for r in one_of_each(t, k.wrapping_mul(7) ^ store.badge.0) {
+                    r.push_into(store);
+                }
+            }
+        }
+        let feed = wire_feed(&stores);
+        assert_eq!(feed.len(), 3 * 40 * 7);
+        assert!(feed
+            .windows(2)
+            .all(|w| w[0].1.t_local() <= w[1].1.t_local()));
+        let mut back: Vec<TelemetryStore> = stores
+            .iter()
+            .map(|s| TelemetryStore::new(s.badge))
+            .collect();
+        for (badge, record) in feed {
+            record.push_into(&mut back[usize::from(badge.0)]);
+        }
+        assert_eq!(back, stores);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 256 replicas")]
+    fn spawn_rejects_replica_ids_that_would_wrap() {
+        // 86 × 3 = 258 replicas: shard 85's replica 1 would be id 256, and a
+        // u8 id wraps it onto shard 0's primary.
+        let cfg = IngestConfig {
+            shards: 86,
+            ..config(1, 4, BackpressurePolicy::Block)
+        };
+        let _ = IngestServer::spawn(
+            cfg,
+            &MissionContext::icares(),
+            Bus::new(),
+            &FaultPlan::new(1),
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "== tier1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier1: rustdoc (warnings are errors) =="
+# Catches doc links left dangling when an item is deleted or made private.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== tier1: bench smoke (per-stage timings -> BENCH_pipeline.json) =="
 # bench_smoke writes the artifact fresh; the soaks below splice into it, so
 # order matters: smoke first, then ingest, then fleet, then the guard.

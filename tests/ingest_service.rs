@@ -20,51 +20,13 @@ use ares::support::bus::Bus;
 use ares::support::chaos::{Fault, FaultPlan};
 use ares::support::failover::ReplicaId;
 use ares::support::ingest::{
-    BackpressurePolicy, IngestConfig, IngestRunReport, IngestServer, TelemetryRecord, TenantId,
+    wire_feed, BackpressurePolicy, IngestConfig, IngestRunReport, IngestServer, TelemetryRecord,
+    TenantId,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const DAY: u32 = 3;
-
-/// Flattens recorded per-badge stores into one multiplexed wire feed, stably
-/// ordered by badge-local timestamp (ties keep per-badge arrival order, so
-/// re-assembly in the shard reproduces the stores bit-for-bit).
-fn flatten(stores: &[TelemetryStore]) -> Vec<(BadgeId, TelemetryRecord)> {
-    let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
-    for store in stores {
-        let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
-        }
-        for a in v.audio_frames() {
-            feed.push((store.badge, TelemetryRecord::Audio(a)));
-        }
-        for s in v.imu_samples() {
-            feed.push((store.badge, TelemetryRecord::Imu(s)));
-        }
-        for e in v.env_samples() {
-            feed.push((store.badge, TelemetryRecord::Env(e)));
-        }
-        for p in v.proximity_obs() {
-            feed.push((store.badge, TelemetryRecord::Proximity(p)));
-        }
-        for c in v.ir_contacts() {
-            feed.push((store.badge, TelemetryRecord::Ir(c)));
-        }
-        for s in v.sync_samples() {
-            feed.push((store.badge, TelemetryRecord::Sync(s)));
-        }
-    }
-    feed.sort_by_key(|(_, r)| r.t_local());
-    feed
-}
 
 /// Streams the feed to two tenants (one per shard) and closes the day.
 fn drive(
@@ -96,7 +58,7 @@ fn killed_shard_recovers_byte_identical_to_unfaulted_run() {
     let runner = MissionRunner::icares();
     let ctx = runner.pipeline().context().clone();
     let stores = runner.record_day_stores(DAY);
-    let feed = flatten(&stores);
+    let feed = wire_feed(&stores);
     assert!(feed.len() > 100_000, "a real day: {} records", feed.len());
 
     let cfg = IngestConfig::icares_day(DAY);
@@ -287,16 +249,7 @@ fn synthetic_feed_ingests_like_the_batch_engine() {
             .map(|b| TelemetryStore::new(BadgeId(b)))
             .collect();
         for (badge, record) in records {
-            let store = &mut stores[usize::from(badge.0)];
-            match record.clone() {
-                TelemetryRecord::Scan(r) => store.push_scan(r),
-                TelemetryRecord::Audio(r) => store.push_audio(r),
-                TelemetryRecord::Imu(r) => store.push_imu(r),
-                TelemetryRecord::Env(r) => store.push_env(r),
-                TelemetryRecord::Proximity(r) => store.push_proximity(r),
-                TelemetryRecord::Ir(r) => store.push_ir(r),
-                TelemetryRecord::Sync(r) => store.push_sync(r),
-            }
+            record.clone().push_into(&mut stores[usize::from(badge.0)]);
         }
         batch.absorb(analyze_day_stores(ctx, *day, &stores, &mut metrics));
     }

@@ -7,7 +7,7 @@ use ares::icares::MissionRunner;
 use ares::simkit::time::{SimDuration, SimTime};
 use ares::sociometrics::engine::MissionContext;
 use ares::sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
-use ares::support::ingest::TelemetryRecord;
+use ares::support::ingest::{wire_feed, TelemetryRecord};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -155,32 +155,9 @@ fn day2_feed() -> &'static (MissionContext, Vec<(BadgeId, TelemetryRecord)>) {
         let runner = MissionRunner::icares();
         let ctx = runner.pipeline().context().clone();
         let stores = runner.record_day_stores(2);
-        let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
         // Five badges give genuine cross-badge interleaving (room handoffs,
         // shared meetings) while keeping each property case fast.
-        for store in stores.iter().take(5) {
-            let v = store.view();
-            for (t, hits) in v.scan_hits() {
-                feed.push((
-                    store.badge,
-                    TelemetryRecord::Scan(BeaconScan {
-                        t_local: t,
-                        hits: hits.to_vec(),
-                    }),
-                ));
-            }
-            for a in v.audio_frames() {
-                feed.push((store.badge, TelemetryRecord::Audio(a)));
-            }
-            for s in v.imu_samples() {
-                feed.push((store.badge, TelemetryRecord::Imu(s)));
-            }
-            for s in v.sync_samples() {
-                feed.push((store.badge, TelemetryRecord::Sync(s)));
-            }
-        }
-        feed.sort_by_key(|(_, r)| r.t_local());
-        (ctx, feed)
+        (ctx, wire_feed(&stores[..5]))
     })
 }
 
@@ -207,7 +184,7 @@ proptest! {
     /// restore into a fresh analyzer, replay the tail — and the result must
     /// be bit-identical to never having been interrupted: same event stream,
     /// same counters, same serialized checkpoint bytes. This is the contract
-    /// the ingest shards' recovery path stands on.
+    /// the live analyzer's checkpoints in `ChaosMission` stand on.
     #[test]
     fn checkpoint_restore_replay_matches_uninterrupted_ingest_bit_for_bit(
         frac in 0u32..=1_000,
