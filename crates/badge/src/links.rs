@@ -5,7 +5,7 @@ use crate::clockdrift::ClockSet;
 use crate::records::{BadgeId, ProximityObs, SyncSample};
 use crate::world::{RfMode, World};
 use ares_crew::truth::{MissionTruth, WearState};
-use ares_habitat::rf::Reception;
+use ares_habitat::rf::{Reception, Rssi};
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::{Point2, Vec2};
 use ares_simkit::time::SimTime;
@@ -23,6 +23,9 @@ use rand::Rng;
 /// the true wall count — and transmitters parked at the station resolve wall
 /// counts from the station's cache table. Output and RNG consumption are
 /// bit-identical across modes.
+///
+/// This is the scalar oracle of [`proximity_sweep_into`]: every link's
+/// geometry is resolved afresh for this one sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_sweep(
     world: &World,
@@ -35,6 +38,7 @@ pub fn proximity_sweep(
     rng: &mut impl Rng,
 ) -> Vec<ProximityObs> {
     let mut out = Vec::new();
+    let mut cold = vec![ProximityLink::UNSET; units.len()];
     proximity_sweep_into(
         world,
         mode,
@@ -42,6 +46,7 @@ pub fn proximity_sweep(
         listener_pos,
         listener_room,
         units,
+        &mut cold,
         t_local,
         rng,
         &mut out,
@@ -49,9 +54,12 @@ pub fn proximity_sweep(
     out
 }
 
-/// [`proximity_sweep`] appending into a caller-owned buffer (not cleared), so
-/// the recording tick loop reuses one allocation across every sweep of a
-/// unit-day. Observation order and RNG consumption are identical.
+/// [`proximity_sweep`] for the batched recording kernel: appends into a
+/// caller-owned buffer (not cleared), and `links[i]` memoises `units[i]`'s
+/// link across calls, so its geometry is resolved again only when either end
+/// has moved. The draws go through
+/// [`transmit_precomputed_mean`](ares_habitat::rf::Channel::transmit_precomputed_mean)
+/// in unit order, so observations and RNG consumption match a cold memo.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_sweep_into(
     world: &World,
@@ -60,51 +68,91 @@ pub fn proximity_sweep_into(
     listener_pos: Point2,
     listener_room: RoomId,
     units: &[(BadgeId, Point2, RoomId)],
+    links: &mut [ProximityLink],
     t_local: SimTime,
     rng: &mut impl Rng,
     out: &mut Vec<ProximityObs>,
 ) {
-    let params = world.sub_ghz.params();
-    for &(other, pos, other_room) in units {
+    for (&(other, pos, other_room), link) in units.iter().zip(links) {
         if other == listener {
             continue;
         }
-        let d = pos.distance(listener_pos);
+        if link.ends != (pos, listener_pos) {
+            *link = ProximityLink::new(world, mode, pos, other_room, listener_pos, listener_room);
+        }
+        let Some(mean) = link.mean else { continue };
+        if let Reception::Received(rssi) = world.sub_ghz.transmit_precomputed_mean(mean, rng) {
+            out.push(ProximityObs {
+                t_local,
+                other,
+                rssi,
+            });
+        }
+    }
+}
+
+/// One transmitter's memoised proximity link, keyed on the exact positions
+/// of both ends (transmitter, listener). The value is a pure function of
+/// them (rooms are too): the link's mean RSSI, or `None` when the
+/// wall-floor bound culls it.
+#[derive(Debug, Clone, Copy)]
+pub struct ProximityLink {
+    ends: (Point2, Point2),
+    mean: Option<Rssi>,
+}
+
+impl ProximityLink {
+    /// An empty entry: NaN positions never compare equal, so the first
+    /// sweep fills it.
+    pub const UNSET: ProximityLink = ProximityLink {
+        ends: (
+            Point2::new(f64::NAN, f64::NAN),
+            Point2::new(f64::NAN, f64::NAN),
+        ),
+        mean: None,
+    };
+
+    fn new(
+        world: &World,
+        mode: RfMode,
+        tx: Point2,
+        tx_room: RoomId,
+        rx: Point2,
+        rx_room: RoomId,
+    ) -> Self {
+        let params = world.sub_ghz.params();
+        let d = tx.distance(rx);
         let walls = match mode {
-            RfMode::Cached if other_room == listener_room => 0,
+            RfMode::Cached if tx_room == rx_room => Some(0),
             RfMode::Cached => {
-                let floor = world.plan.wall_floor(other_room, listener_room);
+                let floor = world.plan.wall_floor(tx_room, rx_room);
                 if floor >= 2
                     && params.mean_rssi(d, floor) + 6.0 * params.shadowing_sigma_db
                         < params.sensitivity_dbm
                 {
                     // Even the wall-count lower bound puts the link below
                     // sensitivity: the exact path would early-out before
-                    // drawing, so skipping here stays bit-identical.
-                    continue;
-                }
-                if pos == world.station {
+                    // drawing, so culling here stays bit-identical.
+                    None
+                } else if tx == world.station {
                     // Docked / uncarried transmitters sit exactly at the
                     // station — resolved from its per-cell table.
-                    world.field_cache().walls_from(
-                        &world.plan,
-                        world.station_source(),
-                        listener_pos,
+                    Some(
+                        world
+                            .field_cache()
+                            .walls_from(&world.plan, world.station_source(), rx),
                     )
                 } else {
-                    world.plan.walls_crossed(pos, listener_pos)
+                    Some(world.plan.walls_crossed(tx, rx))
                 }
             }
-            // The honest baseline: per-packet geometry, no shortcuts (a
-            // same-room scan finds 0 crossings, so the value is unchanged).
-            RfMode::Exact => world.plan.walls_crossed(pos, listener_pos),
+            // The honest baseline: full geometry, no shortcuts (a same-room
+            // scan finds 0 crossings, so the value is unchanged).
+            RfMode::Exact => Some(world.plan.walls_crossed(tx, rx)),
         };
-        if let Reception::Received(rssi) = world.sub_ghz.transmit_known_walls(d, walls, rng) {
-            out.push(ProximityObs {
-                t_local,
-                other,
-                rssi,
-            });
+        ProximityLink {
+            ends: (tx, rx),
+            mean: walls.map(|walls| params.mean_rssi(d, walls)),
         }
     }
 }
@@ -157,31 +205,13 @@ pub fn sync_attempt(
     t_true: SimTime,
     rng: &mut impl Rng,
 ) -> Option<SyncSample> {
-    if badge == BadgeId::REFERENCE {
-        return None;
-    }
-    let walls = match mode {
-        RfMode::Cached => {
-            world
-                .field_cache()
-                .walls_from(&world.plan, world.station_source(), badge_pos)
-        }
-        RfMode::Exact => world.plan.walls_crossed(world.station, badge_pos),
-    };
-    let d = world.station.distance(badge_pos);
-    match world.ble.transmit_known_walls(d, walls, rng) {
-        Reception::Received(_) => Some(SyncSample {
-            t_local: clocks.clock(badge).local_time(t_true),
-            t_reference: clocks.reference().local_time(t_true),
-        }),
-        Reception::Lost => None,
-    }
+    let mean = sync_link_mean(world, mode, badge_pos);
+    sync_attempt_with_mean(world, clocks, badge, mean, t_true, rng)
 }
 
-/// The run-level half of [`sync_attempt`]: the station link's deterministic
-/// mean RSSI for a badge at `badge_pos`, hoisted once per dwell run. Feeding
-/// it to [`sync_attempt_with_mean`] reproduces [`sync_attempt`] bit-for-bit
-/// (the mean is exactly what `transmit_known_walls` would recompute).
+/// The deterministic half of [`sync_attempt`]: the station link's mean RSSI
+/// for a badge at `badge_pos`, which the recording kernel memoises on the
+/// badge's position.
 #[must_use]
 pub fn sync_link_mean(world: &World, mode: RfMode, badge_pos: Point2) -> f64 {
     let walls = match mode {
@@ -196,8 +226,8 @@ pub fn sync_link_mean(world: &World, mode: RfMode, badge_pos: Point2) -> f64 {
     world.ble.params().mean_rssi(d, walls)
 }
 
-/// [`sync_attempt`] with the station-link mean already hoisted (see
-/// [`sync_link_mean`]). Same early-outs, draws and result.
+/// The drawing half of [`sync_attempt`], given the station-link mean (see
+/// [`sync_link_mean`]). The reference unit never syncs and never draws.
 pub fn sync_attempt_with_mean(
     world: &World,
     clocks: &ClockSet,

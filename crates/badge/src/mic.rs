@@ -10,6 +10,7 @@
 
 use crate::records::AudioFrame;
 use crate::world::{RfMode, World};
+use ares_crew::roster::AstronautId;
 use ares_crew::truth::{MissionTruth, PathCursor, SpeechSegment};
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
@@ -54,20 +55,6 @@ impl MicModel {
             RoomId::Hangar => 39.0,
             _ => 40.0,
         }
-    }
-
-    /// The level of a speech source at a listening position.
-    #[must_use]
-    pub fn received_level(
-        &self,
-        world: &World,
-        seg_level_1m_db: f64,
-        source_pos: Point2,
-        badge_pos: Point2,
-    ) -> f64 {
-        let d = source_pos.distance(badge_pos).max(0.3);
-        let walls = world.plan.walls_crossed(source_pos, badge_pos);
-        seg_level_1m_db - 20.0 * d.log10() - walls as f64 * self.wall_loss_db
     }
 
     /// Extracts one audio frame at the badge.
@@ -124,6 +111,93 @@ pub struct MicSampler {
     noise: Normal,
     f0: Normal,
     wobble: Normal,
+    /// [`MicSampler::frame_batched`]'s memo: one link per speaker.
+    links: Vec<SpeakerLink>,
+}
+
+/// The geometry between one speaker and the badge, keyed on the exact
+/// positions of both ends (speaker, badge). Every field is a pure function
+/// of them under a fixed world and RF mode.
+#[derive(Debug, Clone, Copy)]
+struct SpeakerLink {
+    ends: (Point2, Point2),
+    /// `20·log10 d`, with `d` clamped to 0.3 m.
+    spreading_db: f64,
+    /// Cached mode across rooms: the wall-floor lower bound on the wall
+    /// loss, which culls segments per frame against the realised noise.
+    floor_loss_db: Option<f64>,
+    /// The wall-crossing loss, filled on first use — zero from the start in
+    /// the cached same-room case (convex rooms cross no walls).
+    wall_loss_db: Option<f64>,
+}
+
+impl SpeakerLink {
+    /// An empty entry: NaN positions never compare equal.
+    const UNSET: SpeakerLink = SpeakerLink {
+        ends: (
+            Point2::new(f64::NAN, f64::NAN),
+            Point2::new(f64::NAN, f64::NAN),
+        ),
+        spreading_db: 0.0,
+        floor_loss_db: None,
+        wall_loss_db: None,
+    };
+
+    fn new(
+        world: &World,
+        mode: RfMode,
+        model: &MicModel,
+        speaker: Point2,
+        badge: Point2,
+        badge_room: RoomId,
+    ) -> Self {
+        let d = speaker.distance(badge).max(0.3);
+        let (floor_loss_db, wall_loss_db) = match mode {
+            RfMode::Cached => {
+                let speaker_room = world.room_in_mode(speaker, mode);
+                if speaker_room == badge_room {
+                    (None, Some(0.0))
+                } else {
+                    let floor = world.plan.wall_floor(speaker_room, badge_room);
+                    (Some(floor as f64 * model.wall_loss_db), None)
+                }
+            }
+            // The honest baseline: a wall scan for every link.
+            RfMode::Exact => (None, None),
+        };
+        SpeakerLink {
+            ends: (speaker, badge),
+            spreading_db: 20.0 * d.log10(),
+            floor_loss_db,
+            wall_loss_db,
+        }
+    }
+
+    /// The level a segment of `seg_level_db` (at 1 m) reaches the badge
+    /// with, or `None` when its upper bound cannot beat `noise`.
+    fn level(
+        &mut self,
+        world: &World,
+        model: &MicModel,
+        seg_level_db: f64,
+        noise: f64,
+        muffle_db: f64,
+    ) -> Option<f64> {
+        let spread = seg_level_db - self.spreading_db;
+        if self
+            .floor_loss_db
+            .is_some_and(|floor| spread - floor - muffle_db <= noise)
+        {
+            // Provably cannot beat ambient noise: skip the wall scan
+            // (output-identical, see `MicSampler`'s docs).
+            return None;
+        }
+        let (speaker, badge) = self.ends;
+        let loss = *self.wall_loss_db.get_or_insert_with(|| {
+            world.plan.walls_crossed(speaker, badge) as f64 * model.wall_loss_db
+        });
+        Some(spread - loss)
+    }
 }
 
 impl MicSampler {
@@ -137,11 +211,16 @@ impl MicSampler {
             noise: Normal::new(0.0, 1.4).expect("sd > 0"),
             f0: Normal::new(0.0, 2.0).expect("sd > 0"),
             wobble: Normal::new(0.0, 0.6).expect("sd > 0"),
+            links: vec![SpeakerLink::UNSET; AstronautId::ALL.len()],
         }
     }
 
     /// Extracts one audio frame at the badge (see [`MicModel::frame`] for
     /// the semantics; `badge_room` is the pre-resolved room of `badge_pos`).
+    ///
+    /// This is the scalar oracle of [`MicSampler::frame_batched`]: speakers
+    /// are looked up by binary search and every link's geometry is resolved
+    /// afresh for this one frame.
     #[allow(clippy::too_many_arguments)]
     pub fn frame(
         &self,
@@ -155,75 +234,25 @@ impl MicSampler {
         active: &[&SpeechSegment],
         rng: &mut impl Rng,
     ) -> AudioFrame {
-        let noise =
-            MicModel::noise_floor(badge_room) + self.noise_adjust_db + self.noise.sample(rng);
-        let mut best: Option<(f64, f64)> = None; // (level, f0)
-        for seg in active {
-            let Some(pos) = truth.of(seg.source.located_with()).position(t_true) else {
-                continue;
-            };
-            let d = pos.distance(badge_pos).max(0.3);
-            let spread = seg.level_db - 20.0 * d.log10();
-            let level = match mode {
-                // Convex rooms: zero wall crossings by construction.
-                RfMode::Cached if world.room_in_mode(pos, mode) == badge_room => spread,
-                RfMode::Cached => {
-                    let speaker_room = world.room_in_mode(pos, mode);
-                    let bound = spread
-                        - world.plan.wall_floor(speaker_room, badge_room) as f64
-                            * self.model.wall_loss_db;
-                    if bound - self.muffle_db <= noise {
-                        // Provably cannot beat ambient noise: skip the wall
-                        // scan (output-identical, see type docs).
-                        continue;
-                    }
-                    spread
-                        - world.plan.walls_crossed(pos, badge_pos) as f64 * self.model.wall_loss_db
-                }
-                // The honest baseline: a wall scan per segment per frame.
-                RfMode::Exact => {
-                    spread
-                        - world.plan.walls_crossed(pos, badge_pos) as f64 * self.model.wall_loss_db
-                }
-            };
-            if best.is_none_or(|(b, _)| level > b) {
-                best = Some((level, seg.f0_hz));
-            }
-        }
-        let muffle = self.muffle_db;
-        let (mut level, voiced, f0) = match best {
-            Some((speech, f0))
-                if speech - muffle > noise + self.model.voiced_margin_db
-                    && speech - muffle > self.model.voiced_floor_db =>
-            {
-                let f0_est = f0 + self.f0.sample(rng);
-                (speech - muffle, true, Some(f0_est))
-            }
-            Some((speech, _)) => ((speech - muffle).max(noise), false, None),
-            None => (noise, false, None),
-        };
-        level += self.wobble.sample(rng);
-        AudioFrame {
-            t_local,
-            level_db: level,
-            voiced,
-            f0_hz: f0,
-        }
+        let mut cold = [SpeakerLink::UNSET; AstronautId::ALL.len()];
+        let position = |a: AstronautId| truth.of(a).position(t_true);
+        self.frame_with(
+            world, mode, &mut cold, position, badge_pos, badge_room, t_local, active, rng,
+        )
     }
 
-    /// [`MicSampler::frame`] for the run-length batched recording kernel:
-    /// the room's ambient floor is hoisted per run (`noise_floor` must be
-    /// [`MicModel::noise_floor`]`(badge_room)`), and speaker positions come
-    /// from monotone [`PathCursor`]s (indexed by astronaut) instead of a
-    /// per-segment binary search. Both substitutions are bit-identical, so
-    /// the frame and its RNG consumption match the scalar path exactly.
+    /// [`MicSampler::frame`] for the batched recording kernel. Speaker
+    /// positions come from monotone [`PathCursor`]s (indexed by astronaut)
+    /// instead of a binary search, and each speaker's link to the badge is
+    /// memoised across frames, so a dwelling pair pays its `log10`, room
+    /// lookup and wall scan once. The noise-dependent cull still runs per
+    /// frame, so the frame and its RNG consumption match the scalar path.
     #[allow(clippy::too_many_arguments)]
     pub fn frame_batched(
-        &self,
+        &mut self,
         world: &World,
         mode: RfMode,
         speakers: &mut [PathCursor<'_>],
-        noise_floor: f64,
         badge_pos: Point2,
         badge_room: RoomId,
         t_true: SimTime,
@@ -231,41 +260,50 @@ impl MicSampler {
         active: &[&SpeechSegment],
         rng: &mut impl Rng,
     ) -> AudioFrame {
-        let noise = noise_floor + self.noise_adjust_db + self.noise.sample(rng);
+        let mut links = std::mem::take(&mut self.links);
+        let position = |a: AstronautId| speakers[a.index()].position(t_true);
+        let frame = self.frame_with(
+            world, mode, &mut links, position, badge_pos, badge_room, t_local, active, rng,
+        );
+        self.links = links;
+        frame
+    }
+
+    /// The frame body shared by both paths; `links[a.index()]` memoises
+    /// astronaut `a`'s link.
+    #[allow(clippy::too_many_arguments)]
+    fn frame_with(
+        &self,
+        world: &World,
+        mode: RfMode,
+        links: &mut [SpeakerLink],
+        mut position: impl FnMut(AstronautId) -> Option<Point2>,
+        badge_pos: Point2,
+        badge_room: RoomId,
+        t_local: SimTime,
+        active: &[&SpeechSegment],
+        rng: &mut impl Rng,
+    ) -> AudioFrame {
+        let noise =
+            MicModel::noise_floor(badge_room) + self.noise_adjust_db + self.noise.sample(rng);
+        let muffle = self.muffle_db;
         let mut best: Option<(f64, f64)> = None; // (level, f0)
         for seg in active {
-            let Some(pos) = speakers[seg.source.located_with().index()].position(t_true) else {
+            let who = seg.source.located_with();
+            let Some(pos) = position(who) else {
                 continue;
             };
-            let d = pos.distance(badge_pos).max(0.3);
-            let spread = seg.level_db - 20.0 * d.log10();
-            let level = match mode {
-                // Convex rooms: zero wall crossings by construction.
-                RfMode::Cached if world.room_in_mode(pos, mode) == badge_room => spread,
-                RfMode::Cached => {
-                    let speaker_room = world.room_in_mode(pos, mode);
-                    let bound = spread
-                        - world.plan.wall_floor(speaker_room, badge_room) as f64
-                            * self.model.wall_loss_db;
-                    if bound - self.muffle_db <= noise {
-                        // Provably cannot beat ambient noise: skip the wall
-                        // scan (output-identical, see type docs).
-                        continue;
-                    }
-                    spread
-                        - world.plan.walls_crossed(pos, badge_pos) as f64 * self.model.wall_loss_db
-                }
-                // The honest baseline: a wall scan per segment per frame.
-                RfMode::Exact => {
-                    spread
-                        - world.plan.walls_crossed(pos, badge_pos) as f64 * self.model.wall_loss_db
-                }
+            let link = &mut links[who.index()];
+            if link.ends != (pos, badge_pos) {
+                *link = SpeakerLink::new(world, mode, &self.model, pos, badge_pos, badge_room);
+            }
+            let Some(level) = link.level(world, &self.model, seg.level_db, noise, muffle) else {
+                continue;
             };
             if best.is_none_or(|(b, _)| level > b) {
                 best = Some((level, seg.f0_hz));
             }
         }
-        let muffle = self.muffle_db;
         let (mut level, voiced, f0) = match best {
             Some((speech, f0))
                 if speech - muffle > noise + self.model.voiced_margin_db
@@ -288,37 +326,9 @@ impl MicSampler {
 }
 
 /// Gathers the speech segments overlapping a frame from a pre-sorted slice,
-/// advancing `cursor` monotonically (amortized O(1) per frame).
+/// advancing `cursor` monotonically (amortized O(1) per frame). `out` is
+/// cleared and refilled, so the tick loop allocates nothing.
 pub fn active_segments<'a>(
-    speech: &'a [SpeechSegment],
-    cursor: &mut usize,
-    frame_start: SimTime,
-    frame_len: SimDuration,
-) -> Vec<&'a SpeechSegment> {
-    let frame_end = frame_start + frame_len;
-    // Advance past segments that ended before this frame. Segments are sorted
-    // by start; starts are close enough to ends (utterances ≤ 12 s) that a
-    // small look-back window suffices.
-    while *cursor < speech.len()
-        && speech[*cursor].interval.end + SimDuration::from_secs(15) < frame_start
-    {
-        *cursor += 1;
-    }
-    let mut out = Vec::new();
-    let mut i = *cursor;
-    while i < speech.len() && speech[i].interval.start < frame_end {
-        if speech[i].interval.end > frame_start {
-            out.push(&speech[i]);
-        }
-        i += 1;
-    }
-    out
-}
-
-/// [`active_segments`] writing into a caller-owned buffer, so the tick loop
-/// allocates nothing: `out` is cleared and refilled with the same segments in
-/// the same order.
-pub fn active_segments_into<'a>(
     speech: &'a [SpeechSegment],
     cursor: &mut usize,
     frame_start: SimTime,
@@ -327,6 +337,9 @@ pub fn active_segments_into<'a>(
 ) {
     out.clear();
     let frame_end = frame_start + frame_len;
+    // Advance past segments that ended before this frame. Segments are sorted
+    // by start; starts are close enough to ends (utterances ≤ 12 s) that a
+    // small look-back window suffices.
     while *cursor < speech.len()
         && speech[*cursor].interval.end + SimDuration::from_secs(15) < frame_start
     {
@@ -464,26 +477,17 @@ mod tests {
     fn active_segments_windowing() {
         let speech = vec![seg(60.0, 0, 5), seg(60.0, 10, 20), seg(60.0, 30, 31)];
         let mut cursor = 0;
-        let hits = active_segments(
-            &speech,
-            &mut cursor,
-            SimTime::from_secs(12),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(hits.len(), 1);
-        let none = active_segments(
-            &speech,
-            &mut cursor,
-            SimTime::from_secs(25),
-            SimDuration::from_secs(1),
-        );
-        assert!(none.is_empty());
-        let last = active_segments(
-            &speech,
-            &mut cursor,
-            SimTime::from_secs(30),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(last.len(), 1);
+        let mut hits = Vec::new();
+        for (start, expected) in [(12, 1), (25, 0), (30, 1)] {
+            let frame_start = SimTime::from_secs(start);
+            active_segments(
+                &speech,
+                &mut cursor,
+                frame_start,
+                SimDuration::from_secs(1),
+                &mut hits,
+            );
+            assert_eq!(hits.len(), expected, "frame at {start} s");
+        }
     }
 }

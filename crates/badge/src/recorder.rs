@@ -7,22 +7,35 @@
 //! hand each day to the pipeline and drop it).
 //!
 //! Recording is organised unit-by-unit: a shared per-day precomputation
-//! resolves every unit's position, wear state and room once per master tick,
-//! then each unit replays the day against that table on its **own** seeded
-//! RNG stream. Because no randomness is shared across units, the per-unit
-//! jobs can fan out across worker threads and the merged result is
-//! bit-identical to the sequential order for any worker count.
+//! resolves every unit's position, wear state and room once per master tick
+//! into a unit-major table of 24-byte rows, then each unit replays the day
+//! against its own rows on its **own** seeded RNG stream. Because no
+//! randomness is shared across units, the per-unit jobs can fan out across
+//! worker threads and the merged result is bit-identical to the sequential
+//! order for any worker count.
 //!
-//! The per-unit replay is a **run-length batched kernel**: astronauts dwell,
-//! so a unit's `(position, room)` is constant for long stretches of
-//! consecutive ticks. All geometry derived from the dwell point — the scan
-//! plan (candidate beacons with lane-batched mean RSSI), the station sync
-//! link's mean, the room's ambient noise floor — is hoisted to the run
-//! boundary, and the tick loop only performs the draws. Every hoisted value
-//! is exactly what the scalar path would recompute per tick, and the culls
-//! only skip packets the channel would reject *before* drawing, so the
-//! recorded bytes and the RNG stream are bit-identical to the retained
-//! scalar reference ([`Recorder::record_day_stores_scalar`]).
+//! The per-unit replay is a **memoised kernel**: astronauts dwell, so the
+//! positions at both ends of a link stay put for long stretches of ticks.
+//! Geometry is therefore cached on the exact positions it depends on and
+//! recomputed only when one of them moves:
+//!
+//! - the scan plan (candidate beacons with lane-batched mean RSSI) and the
+//!   station sync link's mean, keyed on the unit's position and built at
+//!   the first *due* scan or sync after it changes — a walking badge under
+//!   the fleet profile moves every tick but scans only every 5 s;
+//! - one proximity link per transmitting unit, keyed on both units'
+//!   positions: culled, or its mean RSSI;
+//! - one audio link per speaker, keyed on the speaker's and the badge's
+//!   positions: spherical spreading, same-room flag, wall-floor bound and,
+//!   on first use, the wall-crossing loss.
+//!
+//! Every memoised value is a pure function of its key under a fixed world
+//! and RF mode, the tick loop performs the draws in the scalar order, and
+//! the culls only skip what the channel or the noise floor would reject
+//! *before* drawing. The recorded bytes and the RNG stream are therefore
+//! bit-identical to the retained scalar reference
+//! ([`Recorder::record_day_stores_scalar`]), which resolves all geometry
+//! per packet and per frame.
 
 use crate::clockdrift::{ClockSet, UNIT_COUNT};
 use crate::links;
@@ -56,16 +69,37 @@ pub struct Recorder<'a> {
     muffled_days: Vec<u32>,
 }
 
-/// One unit's resolved state at one master tick.
+/// How a unit is carried at one tick: [`WearState`] without the `LeftAt`
+/// point, which is always the row's own position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wear {
+    Worn,
+    Left,
+    Docked,
+}
+
+/// One unit's resolved state at one master tick (24 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct UnitTick {
     pos: Point2,
-    wear: WearState,
     /// Room under the recorder's RF mode.
     room: RoomId,
+    wear: Wear,
     /// Raw `is_walking` of the carrier (false for uncarried units); the
-    /// kernel still ANDs it with `wear.is_worn()` like the scalar path.
+    /// kernel still ANDs it with the worn state like the scalar path.
     walking: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<UnitTick>() == 24);
+
+impl UnitTick {
+    fn wear_state(self) -> WearState {
+        match self.wear {
+            Wear::Worn => WearState::Worn,
+            Wear::Left => WearState::LeftAt(self.pos),
+            Wear::Docked => WearState::Docked,
+        }
+    }
 }
 
 /// Shared per-day context, computed once before the per-unit fan-out.
@@ -78,15 +112,20 @@ struct DayPrecomp {
     day_speech: Vec<SpeechSegment>,
     carriers: Vec<Option<AstronautId>>,
     ticks: usize,
-    /// Flat tick-major SoA table: unit `u` at tick `k` is
-    /// `states[k * UNIT_COUNT + u]`.
+    /// Flat unit-major table: unit `u` at tick `k` is
+    /// `states[u * ticks + k]`, so each unit's replay streams its own rows.
     states: Vec<UnitTick>,
 }
 
 impl DayPrecomp {
-    /// All units' states at tick `k`.
-    fn tick_states(&self, k: usize) -> &[UnitTick] {
-        &self.states[k * UNIT_COUNT..(k + 1) * UNIT_COUNT]
+    /// Unit `u`'s state at every tick of the day.
+    fn unit(&self, u: usize) -> &[UnitTick] {
+        &self.states[u * self.ticks..(u + 1) * self.ticks]
+    }
+
+    /// Unit `u`'s state at tick `k`.
+    fn at(&self, u: usize, k: usize) -> UnitTick {
+        self.states[u * self.ticks + k]
     }
 }
 
@@ -166,7 +205,7 @@ impl<'a> Recorder<'a> {
 
     /// Records one mission day with the pre-batching per-tick loop — the
     /// reference implementation retained as the bit-identity oracle for the
-    /// run-length batched kernel (equivalence tests and `scenario_soak`
+    /// memoised kernel (equivalence tests and `scenario_soak`
     /// compare against it).
     #[must_use]
     pub fn record_day_stores_scalar(&self, day: u32) -> Vec<TelemetryStore> {
@@ -245,8 +284,8 @@ impl<'a> Recorder<'a> {
         let station_room = self.world.room_in_mode(self.world.station, self.rf_mode);
         let docked = UnitTick {
             pos: self.world.station,
-            wear: WearState::Docked,
             room: station_room,
+            wear: Wear::Docked,
             walking: false,
         };
         let mut states = vec![docked; ticks * UNIT_COUNT];
@@ -261,15 +300,17 @@ impl<'a> Recorder<'a> {
             let mut prev_pos = Point2::new(f64::NAN, f64::NAN);
             let mut prev_room = station_room;
             let mut t = start;
-            for k in 0..ticks {
-                // Same as `World::badge_position`/`badge_wear` with the
-                // carrier hoisted; rooms are reused across ticks at the same
-                // position (the lookup is a pure function of it).
-                let wear = wear_cur.at(t).map_or(WearState::Docked, |s| s.value);
-                let pos = match wear {
-                    WearState::Worn => path_cur.position(t).unwrap_or(self.world.station),
-                    WearState::LeftAt(p) => p,
-                    WearState::Docked => self.world.station,
+            for row in &mut states[u * ticks..(u + 1) * ticks] {
+                // Same as `World::badge_position` and the carrier's wear
+                // state with the carrier hoisted; rooms are reused across
+                // ticks at the same position (a pure function of it).
+                let (pos, wear) = match wear_cur.at(t).map_or(WearState::Docked, |s| s.value) {
+                    WearState::Worn => (
+                        path_cur.position(t).unwrap_or(self.world.station),
+                        Wear::Worn,
+                    ),
+                    WearState::LeftAt(p) => (p, Wear::Left),
+                    WearState::Docked => (self.world.station, Wear::Docked),
                 };
                 let room = if pos == prev_pos {
                     prev_room
@@ -278,10 +319,10 @@ impl<'a> Recorder<'a> {
                 };
                 prev_pos = pos;
                 prev_room = room;
-                states[k * UNIT_COUNT + u] = UnitTick {
+                *row = UnitTick {
                     pos,
-                    wear,
                     room,
+                    wear,
                     walking: walk_cur.contains(t),
                 };
                 t += tick;
@@ -301,7 +342,7 @@ impl<'a> Recorder<'a> {
     }
 
     /// Records one unit's full day (duty + overnight) on the unit's own
-    /// seeded stream with the run-length batched kernel. No randomness is
+    /// seeded stream with the memoised kernel. No randomness is
     /// shared with other units; bytes are bit-identical to
     /// [`Recorder::record_unit_day_scalar`].
     fn record_unit_day(&self, pre: &DayPrecomp, idx: usize) -> TelemetryStore {
@@ -328,7 +369,7 @@ impl<'a> Recorder<'a> {
                 .unwrap_or(1.0);
             let muffled = carrier == Some(AstronautId::A) && self.muffled_days.contains(&pre.day);
             let imu = ImuSampler::new(ImuModel::default(), energy);
-            let mic_sampler = MicSampler::new(MicModel::default(), pre.noise_adjust, muffled);
+            let mut mic_sampler = MicSampler::new(MicModel::default(), pre.noise_adjust, muffled);
 
             // Monotone cursors. Speech speakers and wearer facings need
             // separate cursor sets: audio frames advance past the tick
@@ -345,63 +386,60 @@ impl<'a> Recorder<'a> {
                 .map(|c| c.map(|c| self.truth.of(c).path_cursor()))
                 .collect();
 
-            // Scratch buffers (allocated once per unit-day) and the per-run
-            // hoisted state, rebuilt whenever the unit's position changes.
+            // Scratch buffers and memos, allocated once per unit-day. The
+            // scan plan and the sync-link mean are built at the first due
+            // scan or sync after a position change (NaN keys force the
+            // first build); building them draws nothing.
             let mut scan_plan: Vec<scanner::ScanPlanEntry> = Vec::new();
             let mut dist_scratch: Vec<f64> = Vec::new();
             let mut wall_scratch: Vec<f64> = Vec::new();
             let mut mean_scratch: Vec<f64> = Vec::new();
             let mut active_buf: Vec<&SpeechSegment> = Vec::new();
             let mut prox_units: Vec<(BadgeId, Point2, RoomId)> = Vec::with_capacity(UNIT_COUNT);
+            let mut prox_links = vec![links::ProximityLink::UNSET; UNIT_COUNT];
             let mut prox_obs: Vec<ProximityObs> = Vec::new();
-            let mut run_pos = Point2::new(f64::NAN, f64::NAN);
+            let mut plan_pos = Point2::new(f64::NAN, f64::NAN);
+            let mut sync_pos = Point2::new(f64::NAN, f64::NAN);
             let mut sync_mean = 0.0f64;
-            let mut noise_floor = 0.0f64;
 
             let af = self.config.audio_frame.as_micros();
             let frames_per_tick = (tick.as_micros() / af).max(1);
             let mut speech_cursor = 0usize;
             let mut t = pre.start;
-            for k in 0..pre.ticks {
-                let tick_states = pre.tick_states(k);
-                let ut = tick_states[idx];
+            for (k, &ut) in pre.unit(idx).iter().enumerate() {
                 let elapsed = (t - pre.start).as_micros();
                 let t_local = clock.local_time(t);
-                if ut.pos != run_pos {
-                    // New dwell run: one geometry resolution for the whole
-                    // run (NaN sentinel forces a build on the first tick).
-                    run_pos = ut.pos;
-                    scanner::scan_plan_into(
-                        self.world,
-                        self.rf_mode,
-                        ut.room,
-                        ut.pos,
-                        &mut scan_plan,
-                        &mut dist_scratch,
-                        &mut wall_scratch,
-                        &mut mean_scratch,
-                    );
-                    sync_mean = links::sync_link_mean(self.world, self.rf_mode, ut.pos);
-                    noise_floor = MicModel::noise_floor(ut.room);
-                }
                 // A docked badge (EVA, exercise, forgotten on the charger)
                 // pauses full sampling; environment and sync continue below.
-                let sampling = carrier.is_some() && !matches!(ut.wear, WearState::Docked);
+                let sampling = carrier.is_some() && ut.wear != Wear::Docked;
                 if sampling {
-                    // BLE scan: replay the run's plan, draws only.
+                    // BLE scan: replay the dwell point's plan, draws only.
                     if elapsed % self.config.scan_period.as_micros() == 0 {
+                        if ut.pos != plan_pos {
+                            plan_pos = ut.pos;
+                            scanner::scan_plan_into(
+                                self.world,
+                                self.rf_mode,
+                                ut.room,
+                                ut.pos,
+                                &mut scan_plan,
+                                &mut dist_scratch,
+                                &mut wall_scratch,
+                                &mut mean_scratch,
+                            );
+                        }
                         store.push_scan(scanner::scan_from_plan(
                             self.world, &scan_plan, t_local, &mut rng,
                         ));
                     }
                     // IMU window (walking flag precomputed per tick).
                     if elapsed % self.config.imu_window.as_micros() == 0 {
-                        let walking = ut.walking && ut.wear.is_worn();
-                        store.push_imu(imu.sample(t_local, ut.wear, walking, &mut rng));
+                        let walking = ut.walking && ut.wear == Wear::Worn;
+                        store.push_imu(imu.sample(t_local, ut.wear_state(), walking, &mut rng));
                     }
                     // Audio frames (two per second at the default config).
                     if elapsed % af == 0 {
-                        mic::active_segments_into(
+                        mic::active_segments(
                             &pre.day_speech,
                             &mut speech_cursor,
                             t,
@@ -414,7 +452,6 @@ impl<'a> Recorder<'a> {
                                 self.world,
                                 self.rf_mode,
                                 &mut speakers,
-                                noise_floor,
                                 ut.pos,
                                 ut.room,
                                 ft,
@@ -424,16 +461,14 @@ impl<'a> Recorder<'a> {
                             ));
                         }
                     }
-                    // Proximity sweep (scratch buffers, no per-sweep
-                    // allocation).
+                    // Proximity sweep against the memoised links (scratch
+                    // buffers, no per-sweep allocation).
                     if elapsed % self.config.proximity_period.as_micros() == 0 {
                         prox_units.clear();
-                        prox_units.extend(
-                            tick_states
-                                .iter()
-                                .enumerate()
-                                .map(|(j, s)| (BadgeId(j as u8), s.pos, s.room)),
-                        );
+                        prox_units.extend((0..UNIT_COUNT).map(|j| {
+                            let s = pre.at(j, k);
+                            (BadgeId(j as u8), s.pos, s.room)
+                        }));
                         prox_obs.clear();
                         links::proximity_sweep_into(
                             self.world,
@@ -442,6 +477,7 @@ impl<'a> Recorder<'a> {
                             ut.pos,
                             ut.room,
                             &prox_units,
+                            &mut prox_links,
                             t_local,
                             &mut rng,
                             &mut prox_obs,
@@ -458,15 +494,16 @@ impl<'a> Recorder<'a> {
                     // from the precomputed table and facings from the
                     // monotone cursors instead of `worn_facing`'s per-call
                     // carrier inversion; the values are identical.
-                    if elapsed % self.config.ir_period.as_micros() == 0 && ut.wear.is_worn() {
-                        for (j, other) in tick_states.iter().enumerate().skip(idx + 1) {
+                    if elapsed % self.config.ir_period.as_micros() == 0 && ut.wear == Wear::Worn {
+                        for j in idx + 1..UNIT_COUNT {
                             if pre.carriers[j].is_none() {
                                 continue;
                             }
+                            let other = pre.at(j, k);
                             if ut.pos.distance(other.pos) > self.world.ir.range_m {
                                 continue;
                             }
-                            if !other.wear.is_worn() {
+                            if other.wear != Wear::Worn {
                                 continue;
                             }
                             let fa = facings[idx].as_mut().and_then(|c| c.facing(t));
@@ -479,11 +516,11 @@ impl<'a> Recorder<'a> {
                                 self.rf_mode,
                                 ut.pos,
                                 fa,
-                                ut.wear,
+                                WearState::Worn,
                                 ut.room,
                                 other.pos,
                                 fb,
-                                other.wear,
+                                WearState::Worn,
                                 other.room,
                                 &mut rng,
                             ) {
@@ -500,9 +537,13 @@ impl<'a> Recorder<'a> {
                 if elapsed % self.config.env_period.as_micros() == 0 {
                     store.push_env(env.sample(self.world, ut.room, t, t_local, &mut rng));
                 }
-                // Sync attempts, against the run's hoisted station-link mean
+                // Sync attempts, against the dwell point's station-link mean
                 // (the reference unit never syncs to itself and never draws).
                 if elapsed % self.config.sync_period.as_micros() == 0 {
+                    if ut.pos != sync_pos {
+                        sync_pos = ut.pos;
+                        sync_mean = links::sync_link_mean(self.world, self.rf_mode, ut.pos);
+                    }
                     if let Some(s) = links::sync_attempt_with_mean(
                         self.world,
                         &self.clocks,
@@ -544,12 +585,13 @@ impl<'a> Recorder<'a> {
             let muffled = carrier == Some(AstronautId::A) && self.muffled_days.contains(&pre.day);
             let imu = ImuSampler::new(ImuModel::default(), energy);
             let mic_sampler = MicSampler::new(MicModel::default(), pre.noise_adjust, muffled);
+            let mut active = Vec::new();
             let mut speech_cursor = 0usize;
             let mut t = pre.start;
             for k in 0..pre.ticks {
-                let tick_states = pre.tick_states(k);
+                let tick_states: [UnitTick; UNIT_COUNT] = std::array::from_fn(|u| pre.at(u, k));
                 let ut = tick_states[idx];
-                let (pos, wear, room) = (ut.pos, ut.wear, ut.room);
+                let (pos, wear, room) = (ut.pos, ut.wear_state(), ut.room);
                 let elapsed = (t - pre.start).as_micros();
                 let t_local = clock.local_time(t);
                 let sampling = carrier.is_some() && !matches!(wear, WearState::Docked);
@@ -576,8 +618,13 @@ impl<'a> Recorder<'a> {
                     let af = self.config.audio_frame.as_micros();
                     if elapsed % af == 0 {
                         let frames_per_tick = (tick.as_micros() / af).max(1);
-                        let active =
-                            mic::active_segments(&pre.day_speech, &mut speech_cursor, t, tick);
+                        mic::active_segments(
+                            &pre.day_speech,
+                            &mut speech_cursor,
+                            t,
+                            tick,
+                            &mut active,
+                        );
                         for f in 0..frames_per_tick {
                             let ft = t + SimDuration::from_micros(f * af);
                             store.push_audio(mic_sampler.frame(
@@ -640,7 +687,7 @@ impl<'a> Recorder<'a> {
                                 room,
                                 other.pos,
                                 fb,
-                                other.wear,
+                                other.wear_state(),
                                 other.room,
                                 &mut rng,
                             ) {
@@ -804,40 +851,83 @@ mod tests {
         assert_eq!(total % 2, 0, "contacts recorded pairwise");
     }
 
+    /// Lunares days that stress the memo keys: day 2 swaps A's and B's
+    /// units, day 4 is the incident day, and from day 7 F carries C's unit.
+    const ORACLE_DAYS: [u32; 3] = [2, 4, 7];
+
+    // The equivalence checks below use `assert!(a == b)`: an `assert_eq!`
+    // diff of two recorded days would print millions of samples.
+
     #[test]
     fn batched_kernel_matches_the_scalar_oracle() {
         let (world, roster, truth) = setup();
-        let rec = Recorder::new(
-            &world,
-            &roster,
-            &truth,
-            SamplingConfig::default(),
-            SeedTree::new(99),
-        );
-        // Day 2 includes the A/B badge swap, so carrier hoisting is covered.
-        let batched = rec.record_day_stores(2);
-        assert_eq!(batched, rec.record_day_stores_scalar(2));
-        assert_eq!(batched, rec.record_day_stores_parallel(2, 2));
+        for config in [SamplingConfig::default(), SamplingConfig::fleet()] {
+            let rec = Recorder::new(&world, &roster, &truth, config, SeedTree::new(99));
+            for day in ORACLE_DAYS {
+                let batched = rec.record_day_stores(day);
+                assert!(
+                    batched == rec.record_day_stores_scalar(day),
+                    "day {day}: {config:?}"
+                );
+                assert!(
+                    batched == rec.record_day_stores_parallel(day, 2),
+                    "day {day}: {config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_audio_fires_once_per_five_seconds() {
+        // Frames start only on 1 Hz master ticks: the default 0.5 s frame
+        // gives two per sampling tick, the fleet profile's 2.5 s frame one
+        // per tick whose elapsed seconds are a multiple of 5 — a 10×
+        // decimation of audio.
+        let (world, roster, truth) = setup();
+        let rec = |config| Recorder::new(&world, &roster, &truth, config, SeedTree::new(99));
+        let pre = rec(SamplingConfig::default()).precompute_day(3);
+        let fleet = rec(SamplingConfig::fleet()).record_day_stores(3);
+        let (mut sampling_ticks, mut fleet_frames) = (0, 0);
+        for (u, store) in fleet.iter().enumerate() {
+            let mut expected = 0;
+            if pre.carriers[u].is_some() {
+                for (k, s) in pre.unit(u).iter().enumerate() {
+                    if s.wear != Wear::Docked {
+                        sampling_ticks += 1;
+                        expected += usize::from(k % 5 == 0);
+                    }
+                }
+            }
+            assert_eq!(store.audio.len(), expected, "unit {u}");
+            fleet_frames += expected;
+        }
+        let ratio = 2.0 * f64::from(sampling_ticks) / fleet_frames as f64;
+        assert!((9.5..10.5).contains(&ratio), "decimation {ratio}");
+        let default = rec(SamplingConfig::default()).record_day_stores(3);
+        let frames: usize = default.iter().map(|s| s.audio.len()).sum();
+        assert_eq!(frames, 2 * sampling_ticks as usize);
     }
 
     #[test]
     fn exact_mode_matches_cached_mode() {
         let (world, roster, truth) = setup();
-        let cached = Recorder::new(
-            &world,
-            &roster,
-            &truth,
-            SamplingConfig::default(),
-            SeedTree::new(99),
+        let rec = |config| Recorder::new(&world, &roster, &truth, config, SeedTree::new(99));
+        let default = SamplingConfig::default();
+        assert!(
+            rec(default).record_day_stores(2)
+                == rec(default)
+                    .with_rf_mode(RfMode::Exact)
+                    .record_day_stores(2)
         );
-        let exact = Recorder::new(
-            &world,
-            &roster,
-            &truth,
-            SamplingConfig::default(),
-            SeedTree::new(99),
-        )
-        .with_rf_mode(RfMode::Exact);
-        assert_eq!(cached.record_day_stores(2), exact.record_day_stores(2));
+        let fleet = SamplingConfig::fleet();
+        for day in ORACLE_DAYS {
+            assert!(
+                rec(fleet).record_day_stores(day)
+                    == rec(fleet)
+                        .with_rf_mode(RfMode::Exact)
+                        .record_day_stores(day),
+                "fleet day {day}"
+            );
+        }
     }
 }

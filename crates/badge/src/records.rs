@@ -160,8 +160,11 @@ impl Default for SamplingConfig {
 }
 
 impl SamplingConfig {
-    /// The fleet-scale sampling profile: every stream decimated ~5× against
-    /// the canonical deployment so hundreds of habitats fit in one soak run.
+    /// The fleet-scale sampling profile, decimated against the canonical
+    /// deployment so hundreds of habitats fit in one soak run: scans, IMU,
+    /// proximity, IR and environment 5×, sync 2×, and audio 10×. Audio
+    /// frames start only on 1 Hz master ticks, so the 2.5 s frame fires
+    /// once per 5 s where the default profile records ten 0.5 s frames.
     ///
     /// The analysis pipeline makes no assumptions about these rates beyond
     /// monotonic timestamps, so fleet runs stay bit-deterministic — they just

@@ -37,37 +37,12 @@ pub fn scan_in(
     rng: &mut impl Rng,
 ) -> BeaconScan {
     let mut hits = Vec::new();
-    let mut consider = |beacon: &ares_habitat::beacons::Beacon, walls: usize, rng: &mut _| {
+    for_each_candidate(world, mode, badge_room, badge_pos, |beacon, walls| {
         let d = beacon.position.distance(badge_pos);
         if let Reception::Received(rssi) = world.ble.transmit_known_walls(d, walls, rng) {
             hits.push((beacon.id, rssi));
         }
-    };
-    match mode {
-        RfMode::Cached => {
-            let cache = world.field_cache();
-            for &bi in cache.candidates(badge_room) {
-                let beacon = &world.beacons.beacons()[bi as usize];
-                let walls = if beacon.room == badge_room {
-                    // Convex room: zero wall crossings by construction.
-                    0
-                } else {
-                    cache.walls_from(&world.plan, bi as usize, badge_pos)
-                };
-                consider(beacon, walls, rng);
-            }
-        }
-        RfMode::Exact => {
-            for beacon in candidate_beacons(world, badge_room) {
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    world.plan.walls_crossed(beacon.position, badge_pos)
-                };
-                consider(beacon, walls, rng);
-            }
-        }
-    }
+    });
     BeaconScan { t_local, hits }
 }
 
@@ -75,7 +50,7 @@ pub fn scan_in(
 /// precomputed deterministic mean RSSI at the planned badge position.
 pub type ScanPlanEntry = (ares_habitat::beacons::BeaconId, f64);
 
-/// Builds the per-run scan plan for a badge dwelling at `(badge_room,
+/// Builds the scan plan for a badge dwelling at `(badge_room,
 /// badge_pos)`: every candidate beacon [`scan_in`] would consider, in the
 /// same order, with its mean RSSI precomputed — minus the candidates whose
 /// mean is so deep below sensitivity that [`transmit_known_walls`] would
@@ -102,35 +77,11 @@ pub fn scan_plan_into(
     plan.clear();
     dist_scratch.clear();
     wall_scratch.clear();
-    let mut push_candidate = |beacon: &ares_habitat::beacons::Beacon, walls: usize| {
+    for_each_candidate(world, mode, badge_room, badge_pos, |beacon, walls| {
         plan.push((beacon.id, 0.0));
         dist_scratch.push(beacon.position.distance(badge_pos));
         wall_scratch.push(walls as f64);
-    };
-    match mode {
-        RfMode::Cached => {
-            let cache = world.field_cache();
-            for &bi in cache.candidates(badge_room) {
-                let beacon = &world.beacons.beacons()[bi as usize];
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    cache.walls_from(&world.plan, bi as usize, badge_pos)
-                };
-                push_candidate(beacon, walls);
-            }
-        }
-        RfMode::Exact => {
-            for beacon in candidate_beacons(world, badge_room) {
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    world.plan.walls_crossed(beacon.position, badge_pos)
-                };
-                push_candidate(beacon, walls);
-            }
-        }
-    }
+    });
     mean_scratch.resize(plan.len(), 0.0);
     world
         .ble
@@ -171,17 +122,45 @@ pub fn scan_from_plan(
     BeaconScan { t_local, hits }
 }
 
-/// The beacons that could conceivably be heard from a room: its own plus
-/// those of door-adjacent rooms (leakage through doorways).
-fn candidate_beacons(
+/// Visits, in scan order, the beacons that could conceivably be heard from
+/// a room — its own plus those of door-adjacent rooms (leakage through
+/// doorways) — with each one's wall count to `badge_pos`. `Cached` resolves
+/// the counts from the field cache, `Exact` from the geometric oracle; a
+/// beacon in the badge's own (convex) room crosses zero walls.
+fn for_each_candidate(
     world: &World,
-    room: RoomId,
-) -> impl Iterator<Item = &ares_habitat::beacons::Beacon> {
-    world
-        .beacons
-        .beacons()
-        .iter()
-        .filter(move |b| b.room == room || world.plan.door_between(b.room, room).is_some())
+    mode: RfMode,
+    badge_room: RoomId,
+    badge_pos: Point2,
+    mut visit: impl FnMut(&ares_habitat::beacons::Beacon, usize),
+) {
+    match mode {
+        RfMode::Cached => {
+            let cache = world.field_cache();
+            for &bi in cache.candidates(badge_room) {
+                let beacon = &world.beacons.beacons()[bi as usize];
+                let walls = if beacon.room == badge_room {
+                    0
+                } else {
+                    cache.walls_from(&world.plan, bi as usize, badge_pos)
+                };
+                visit(beacon, walls);
+            }
+        }
+        RfMode::Exact => {
+            let candidates = world.beacons.beacons().iter().filter(|b| {
+                b.room == badge_room || world.plan.door_between(b.room, badge_room).is_some()
+            });
+            for beacon in candidates {
+                let walls = if beacon.room == badge_room {
+                    0
+                } else {
+                    world.plan.walls_crossed(beacon.position, badge_pos)
+                };
+                visit(beacon, walls);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -148,18 +148,6 @@ impl EnvSampler {
     }
 }
 
-/// Samples one environmental record for a badge (exact-geometry façade over
-/// [`EnvSampler`]).
-pub fn sample_env(
-    world: &World,
-    badge_pos: ares_simkit::geometry::Point2,
-    t_true: SimTime,
-    t_local: SimTime,
-    rng: &mut impl Rng,
-) -> EnvSample {
-    EnvSampler::default().sample(world, world.room_at(badge_pos), t_true, t_local, rng)
-}
-
 /// Classifier threshold separating on-body from off-body accelerometer
 /// variance; shared with the pipeline's wear detector so both sides agree on
 /// the device physics (the pipeline still works from recorded data only).
@@ -219,9 +207,13 @@ mod tests {
         let t = SimTime::from_day_hms(3, 13, 0, 0);
         let kitchen = world.plan.room_center(ares_habitat::rooms::RoomId::Kitchen);
         let storage = world.plan.room_center(ares_habitat::rooms::RoomId::Storage);
+        let env = EnvSampler::default();
         let mean_t = |p: Point2, rng: &mut rand::rngs::StdRng| -> f64 {
             (0..100)
-                .map(|_| sample_env(&world, p, t, t, rng).temperature_c)
+                .map(|_| {
+                    env.sample(&world, world.room_at(p), t, t, rng)
+                        .temperature_c
+                })
                 .sum::<f64>()
                 / 100.0
         };

@@ -232,20 +232,6 @@ impl<'a, T> ColumnView<'a, T> {
             payloads: &self.payloads[lo..hi],
         }
     }
-
-    /// The timestamp column split into `[SimTime; LANES]` chunks plus the
-    /// remainder tail — the iteration shape of the batched stage kernels.
-    #[must_use]
-    pub fn ts_lanes(&self) -> (&'a [[SimTime; lanes::LANES]], &'a [SimTime]) {
-        lanes::as_lanes(self.ts)
-    }
-
-    /// The payload column split into `[T; LANES]` chunks plus the remainder
-    /// tail.
-    #[must_use]
-    pub fn payload_lanes(&self) -> (&'a [[T; lanes::LANES]], &'a [T]) {
-        lanes::as_lanes(self.payloads)
-    }
 }
 
 /// Everything one badge recorded over one span, in columnar layout.

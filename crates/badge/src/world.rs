@@ -4,7 +4,7 @@ use crate::records::BadgeId;
 use ares_crew::behavior::CHARGING_STATION;
 use ares_crew::incidents::IncidentScript;
 use ares_crew::roster::AstronautId;
-use ares_crew::truth::{MissionTruth, WearState};
+use ares_crew::truth::MissionTruth;
 use ares_habitat::beacons::BeaconDeployment;
 use ares_habitat::environment::Environment;
 use ares_habitat::fieldcache::RfFieldCache;
@@ -173,15 +173,6 @@ impl World {
                 .badge_position(t, self.station)
                 .unwrap_or(self.station),
             None => self.station,
-        }
-    }
-
-    /// The wear state of a badge unit at instant `t`.
-    #[must_use]
-    pub fn badge_wear(&self, badge: BadgeId, t: SimTime, truth: &MissionTruth) -> WearState {
-        match self.carrier_of(badge, t.mission_day()) {
-            Some(carrier) => truth.of(carrier).wear_state(t),
-            None => WearState::Docked,
         }
     }
 

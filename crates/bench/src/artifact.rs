@@ -401,7 +401,7 @@ pub fn check_pipeline(doc: &Json) -> Vec<Violation> {
         20_000_000.0,
         &mut out,
     );
-    // Recording plane: the run-length batched kernel's throughput floor
+    // Recording plane: the memoised recording kernel's throughput floor
     // (~60 % of the ~2.8 days/s measured on the slowest host) and an
     // honestly measured parallel ratio (interleaved on one core, so the
     // ratio itself carries no floor — only the measurement discipline does).

@@ -8,7 +8,8 @@
 //! *generated* geometry, not just the canonical Lunares world:
 //!
 //! * recording is bit-identical sequential vs. parallel vs. exact-geometry
-//!   vs. the retained pre-batching scalar tick loop (the
+//!   vs. the retained pre-batching scalar tick loop, the last also at the
+//!   default sampling profile on the first three worlds (the
 //!   [`RfFieldCache`](ares_habitat::fieldcache::RfFieldCache)
 //!   purity contract and the batched-kernel equivalence contract —
 //!   `.to_bits()` RSSI equality, since the columnar stores compare byte
@@ -36,10 +37,12 @@
 //! BENCH_TS=<unix-seconds> …  # pins the history timestamp
 //! ```
 
+use ares_badge::recorder::Recorder;
 use ares_badge::records::{BadgeId, SamplingConfig};
 use ares_badge::telemetry::TelemetryStore;
 use ares_icares::{MissionRunner, ScenarioConfig, FIRST_INSTRUMENTED_DAY};
 use ares_scenario::{generate, validate};
+use ares_simkit::rng::SeedTree;
 use ares_sociometrics::engine::MissionEngine;
 use ares_sociometrics::report::{scenario_section, ScenarioPlanRow};
 use ares_sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
@@ -52,6 +55,11 @@ const HISTORY_PATH: &str = "artifacts/bench_history.jsonl";
 /// Badges fed to the streaming replay probe per scenario (a genuine
 /// multi-badge interleave while keeping each probe fast).
 const STREAM_BADGES: usize = 3;
+/// Worlds (the first seeds) whose recording is also checked batched vs.
+/// scalar under the default sampling profile, whose 1 Hz scans and 0.5 s
+/// audio frames hit the recorder's memos far more often than the fleet
+/// profile the soak records at.
+const DEFAULT_PROFILE_WORLDS: u64 = 3;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -143,6 +151,7 @@ fn main() {
             eprintln!("scenario_gen: seed {seed} INVALID: {violations:?}");
         }
         let total_width = spec.habitat.total_width();
+        let spec_seed = spec.seed;
         let hall_depth = spec.habitat.hall_depth;
         let config = ScenarioConfig {
             truth_days: day,
@@ -153,11 +162,22 @@ fn main() {
 
         // Recording bit-identity: the batched kernel vs. its retained scalar
         // oracle, sequential vs. parallel, and cached vs. exact geometry
-        // (the field-cache purity contract on this plan's geometry).
+        // (the field-cache purity contract on this plan's geometry); on the
+        // first worlds also batched vs. scalar at the default profile.
         let stores = runner.record_day_stores(day);
         let record_ok = runner.record_day_stores_scalar(day) == stores
             && runner.record_day_stores_parallel(day, 4) == stores
-            && runner.record_day_stores_exact(day) == stores;
+            && runner.record_day_stores_exact(day) == stores
+            && (seed >= DEFAULT_PROFILE_WORLDS || {
+                let rec = Recorder::new(
+                    runner.world(),
+                    runner.roster(),
+                    runner.truth(),
+                    SamplingConfig::default(),
+                    SeedTree::new(spec_seed),
+                );
+                rec.record_day_stores(day) == rec.record_day_stores_scalar(day)
+            });
 
         // Streaming bit-identity: checkpoint/restore replay of the live feed.
         let stream_ok = streaming_replay_identical(&runner, &stores, day);

@@ -332,8 +332,8 @@ impl Channel {
     }
 
     /// Samples one packet whose deterministic mean RSSI is already known —
-    /// the run-length batched recording kernels hoist the mean out of the
-    /// tick loop and only pay for the draws here. Draw order and early-outs
+    /// the recording kernel memoises the mean per dwell point or link and
+    /// only pays for the draws here. Draw order and early-outs
     /// are exactly [`Channel::transmit_known_walls`]'s (which delegates to
     /// this method), so a hoisted mean consumes the identical RNG stream.
     pub fn transmit_precomputed_mean(&self, mean: Rssi, rng: &mut impl Rng) -> Reception {

@@ -264,7 +264,7 @@ impl MissionRunner {
     }
 
     /// Records a single day through the retained pre-batching scalar tick
-    /// loop — the bit-identity oracle the run-length batched kernel is
+    /// loop — the bit-identity oracle the memoised recording kernel is
     /// checked against; bit-identical to [`record_day_stores`].
     ///
     /// [`record_day_stores`]: MissionRunner::record_day_stores
