@@ -9,8 +9,14 @@
 //! rest of the document stays byte-identical) but brace- and string-aware,
 //! so re-running a soak replaces its own member without disturbing — or
 //! truncating — anything another bin wrote.
+//!
+//! Side files — the scorecards and the append-only run history — land in
+//! an `artifacts/` directory next to the artifact a bin was asked to write
+//! ([`side_path`]), so a run aimed elsewhere never touches the committed
+//! ones.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// A parsed JSON value. Numbers are kept as `f64` — every field the guards
 /// read is well within 2^53.
@@ -408,13 +414,14 @@ pub fn check_pipeline(doc: &Json) -> Vec<Violation> {
     expect_bool(doc, &["record", "speedup_measured"], true, &mut out);
     expect_floor(doc, &["record", "days_per_s"], 1.7, &mut out);
     // Ingest: byte-identical recovery and a sustained-throughput floor
-    // (~1/3 of the ~780k records/s `ingest_soak` measures with incremental
-    // checkpoints on a 2-core Intel Xeon sandbox host).
+    // (~1/3 of the slowest `ingest_soak` run, 1.25M records/s, measured with
+    // the bulk-draining shard queue on a 2-core Intel Xeon sandbox host;
+    // 12 later runs there read 2.26M–2.97M).
     expect_bool(doc, &["ingest", "recovery_divergent"], false, &mut out);
     expect_floor(
         doc,
         &["ingest", "sustained_records_per_s"],
-        250_000.0,
+        400_000.0,
         &mut out,
     );
     // Fleet: the soak must cover ≥ 1,000 badge-days and stay deterministic
@@ -456,6 +463,65 @@ pub fn check_pipeline_file(path: &str) -> Vec<Violation> {
     }
 }
 
+/// Where a bin writing the artifact `out_path` puts its side file `name`:
+/// `<directory of out_path>/artifacts/<name>`. The default
+/// `BENCH_pipeline.json` resolves to `artifacts/<name>`.
+#[must_use]
+pub fn side_path(out_path: &str, name: &str) -> PathBuf {
+    Path::new(out_path)
+        .parent()
+        .unwrap_or(Path::new(""))
+        .join("artifacts")
+        .join(name)
+}
+
+/// Writes `text` to [`side_path`]`(out_path, name)`, creating the directory,
+/// and returns the path. A failure is a warning on stderr: the side files
+/// are for reading, the artifact is what the gate checks.
+pub fn write_side_file(out_path: &str, name: &str, text: &str) -> PathBuf {
+    let path = side_path(out_path, name);
+    if let Err(e) = create_parent(&path).and_then(|()| std::fs::write(&path, text)) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
+    path
+}
+
+/// Appends one line `{"ts": <unix seconds>, <fields>}` to the run history
+/// `bench_history.jsonl` beside `out_path` ([`side_path`]): the across-runs
+/// record the single-artifact snapshot cannot give. `BENCH_TS=<unix
+/// seconds>` pins the timestamp (reproducible CI).
+pub fn append_history(out_path: &str, fields: &str) {
+    use std::io::Write as _;
+    let path = side_path(out_path, "bench_history.jsonl");
+    let line = format!("{{\"ts\": {}, {fields}}}\n", history_timestamp());
+    let appended = create_parent(&path).and_then(|()| {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(line.as_bytes()))
+    });
+    if let Err(e) = appended {
+        eprintln!("warning: could not append {}: {e}", path.display());
+    }
+}
+
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    path.parent().map_or(Ok(()), std::fs::create_dir_all)
+}
+
+fn history_timestamp() -> u64 {
+    if let Some(ts) = std::env::var_os("BENCH_TS") {
+        if let Some(parsed) = ts.to_str().and_then(|s| s.parse::<u64>().ok()) {
+            return parsed;
+        }
+        eprintln!("BENCH_TS is not a unix-seconds integer; using wall clock");
+    }
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs())
+}
+
 /// Renders one `key: value` line list as an indented JSON object member —
 /// the house format of `BENCH_pipeline.json` top-level blocks.
 #[must_use]
@@ -487,6 +553,22 @@ mod tests {
   }
 }
 "#;
+
+    #[test]
+    fn side_files_land_beside_the_artifact() {
+        assert_eq!(
+            side_path("BENCH_pipeline.json", "bench_history.jsonl"),
+            Path::new("artifacts/bench_history.jsonl")
+        );
+        assert_eq!(
+            side_path("/some/other/out.json", "fleet_scorecard.txt"),
+            Path::new("/some/other/artifacts/fleet_scorecard.txt")
+        );
+        assert_eq!(
+            side_path("runs/a.json", "x.txt"),
+            Path::new("runs/artifacts/x.txt")
+        );
+    }
 
     #[test]
     fn parses_the_house_artifact_shape() {
@@ -622,7 +704,7 @@ mod tests {
     "speech": {"records_per_s": 50062568.6}
   },
   "record": {"days_per_s": 2.8, "speedup_measured": true},
-  "ingest": {"sustained_records_per_s": 262852.6, "recovery_divergent": false},
+  "ingest": {"sustained_records_per_s": 2380679.4, "recovery_divergent": false},
   "fleet": {"habitats": 200, "badge_days": 2400, "badge_days_per_s": 90.0, "fleet_deterministic": true},
   "scenario_gen": {"scenarios_validated": 30, "cache_purity_min": 1.0, "deterministic": true}
 }"#;
@@ -655,6 +737,11 @@ mod tests {
         );
         assert!(
             text.iter().any(|v| v.contains("recovery_divergent")),
+            "{text:?}"
+        );
+        assert!(
+            text.iter()
+                .any(|v| v.contains("ingest.sustained_records_per_s regressed")),
             "{text:?}"
         );
         assert!(

@@ -10,8 +10,8 @@
 //! columnar store footprint and the verified determinism flags go
 //! to `BENCH_pipeline.json` (or the path given as the first argument), and
 //! one compact line per run is appended to `artifacts/bench_history.jsonl`
-//! so regressions are visible across runs, not just against the last
-//! committed artifact. `scripts/tier1.sh` runs this as its final step so
+//! beside that path, so regressions are visible across runs, not just
+//! against the last committed artifact. `scripts/tier1.sh` runs this as its final step so
 //! every green build leaves a timing artifact behind — and then greps the
 //! artifact to fail the build on a lost determinism bit, a non-finite
 //! metric, or a kernel throughput regression.
@@ -27,7 +27,10 @@
 //!
 //! Recording-plane metrics are additionally spliced into the artifact as a
 //! top-level `"record"` block (via the same brace-aware member splice the
-//! soak bins use), where `bench_guard` enforces the `days_per_s` floor.
+//! soak bins use), where `bench_guard` enforces the `days_per_s` floor. The
+//! sequential recording is timed five times after the warm-up and the
+//! median is reported, with the fastest and slowest run beside it: one
+//! timed day varies by half its value between runs on a shared host.
 //!
 //! Throughput is reported on two planes: `mission_days_per_s` is the
 //! *analysis* rate (one recorded day through the seven-stage engine,
@@ -48,19 +51,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const DAY: u32 = 3;
-const HISTORY_PATH: &str = "artifacts/bench_history.jsonl";
-
-fn history_timestamp() -> u64 {
-    if let Some(ts) = std::env::var_os("BENCH_TS") {
-        if let Some(parsed) = ts.to_str().and_then(|s| s.parse::<u64>().ok()) {
-            return parsed;
-        }
-        eprintln!("BENCH_TS is not a unix-seconds integer; using wall clock");
-    }
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
-}
+/// Timed sequential recordings; `record.days_per_s` is their median.
+const RECORD_RUNS: usize = 5;
 
 fn main() {
     let out_path = std::env::args()
@@ -76,15 +68,21 @@ fn main() {
     eprintln!("recording mission day {DAY} (warm-up)…");
     let warm = runner.record_day_stores(DAY);
 
-    eprintln!("recording day {DAY}: sequential, cached…");
-    let t0 = Instant::now();
-    let stores = runner.record_day_stores(DAY);
-    let record_wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        warm, stores,
-        "recording is not reproducible across repeated runs"
-    );
-    drop(warm);
+    eprintln!("recording day {DAY}: sequential, cached ×{RECORD_RUNS}…");
+    let mut record_walls = Vec::with_capacity(RECORD_RUNS);
+    for _ in 0..RECORD_RUNS {
+        let t0 = Instant::now();
+        let stores = runner.record_day_stores(DAY);
+        record_walls.push(t0.elapsed().as_secs_f64());
+        assert!(
+            warm == stores,
+            "recording is not reproducible across repeated runs"
+        );
+    }
+    let stores = warm;
+    record_walls.sort_by(f64::total_cmp);
+    let record_wall_s = record_walls[RECORD_RUNS / 2];
+    let per_s = |wall_s: f64| if wall_s > 0.0 { 1.0 / wall_s } else { 0.0 };
 
     // Fan out across at least two threads so the parallel merge path is
     // exercised (and its determinism verified) even on a single-core host.
@@ -129,12 +127,11 @@ fn main() {
         0.0
     };
     // Recording-plane throughput: mission days recorded per second through
-    // the batched kernel (the figure the tier-1 floor guards).
-    let record_days_per_s = if record_wall_s > 0.0 {
-        1.0 / record_wall_s
-    } else {
-        0.0
-    };
+    // the batched kernel, the median run (the figure the tier-1 floor
+    // guards), and the slowest and fastest runs.
+    let record_days_per_s = per_s(record_wall_s);
+    let record_days_per_s_min = per_s(record_walls[RECORD_RUNS - 1]);
+    let record_days_per_s_max = per_s(record_walls[0]);
 
     // --- Analysis engine ----------------------------------------------------
     let store_bytes: u64 = stores.iter().map(TelemetryStore::mem_bytes).sum();
@@ -252,7 +249,10 @@ fn main() {
             ("speedup", format!("{record_speedup:.4}")),
             ("speedup_measured", record_speedup_measured.to_string()),
             ("speedup_cache", format!("{record_speedup_cache:.4}")),
+            ("runs", RECORD_RUNS.to_string()),
             ("days_per_s", format!("{record_days_per_s:.6}")),
+            ("days_per_s_min", format!("{record_days_per_s_min:.6}")),
+            ("days_per_s_max", format!("{record_days_per_s_max:.6}")),
             ("deterministic", record_deterministic.to_string()),
         ],
     );
@@ -260,9 +260,8 @@ fn main() {
 
     // One compact line per run, appended forever: the across-runs record the
     // single-artifact snapshot cannot give.
-    let ts = history_timestamp();
-    let mut line = String::from("{");
-    let _ = write!(line, "\"ts\": {ts}, \"day\": {DAY}, \"workers\": {workers}");
+    let mut line = String::new();
+    let _ = write!(line, "\"day\": {DAY}, \"workers\": {workers}");
     let _ = write!(
         line,
         ", \"record_wall_s\": {record_wall_s:.6}, \
@@ -293,21 +292,12 @@ fn main() {
             m.records_per_s(),
         );
     }
-    line.push_str("}\n");
-    if let Err(e) = std::fs::create_dir_all("artifacts").and_then(|()| {
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(HISTORY_PATH)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-    }) {
-        eprintln!("warning: could not append {HISTORY_PATH}: {e}");
-    }
+    ares_bench::artifact::append_history(&out_path, &line);
 
     println!("{}", engine_section(&metrics));
     println!(
-        "record day {DAY}: cached {record_wall_s:.2} s ({record_days_per_s:.2} day(s)/s), \
+        "record day {DAY}: cached {record_wall_s:.2} s ({record_days_per_s:.2} day(s)/s, \
+         median of {RECORD_RUNS}, {record_days_per_s_min:.2}–{record_days_per_s_max:.2}), \
          parallel {record_parallel_wall_s:.2} s @{record_workers} worker(s) \
          → speedup {record_speedup:.2}×{}, exact {record_exact_wall_s:.2} s \
          → cache speedup {record_speedup_cache:.2}×",

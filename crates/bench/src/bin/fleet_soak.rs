@@ -18,7 +18,8 @@
 //!   byte-identical to what the sharded scheduler produced.
 //!
 //! A human-readable scorecard lands in `artifacts/fleet_scorecard.txt`, and
-//! one compact line per run is appended to `artifacts/bench_history.jsonl`.
+//! one compact line per run is appended to `artifacts/bench_history.jsonl`,
+//! both in the output path's directory.
 //!
 //! ```text
 //! cargo run --release -p ares-bench --bin fleet_soak [out.json]
@@ -36,8 +37,6 @@ use ares_support::bus::{Bus, Message, Topic};
 use ares_support::failover::{drill_shard_availability, ShardAvailability};
 use std::fmt::Write as _;
 
-const SCORECARD_PATH: &str = "artifacts/fleet_scorecard.txt";
-const HISTORY_PATH: &str = "artifacts/bench_history.jsonl";
 /// Replicas per shard analysis service in the availability drill.
 const DRILL_REPLICAS: u32 = 3;
 
@@ -46,18 +45,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn history_timestamp() -> u64 {
-    if let Some(ts) = std::env::var_os("BENCH_TS") {
-        if let Some(parsed) = ts.to_str().and_then(|s| s.parse::<u64>().ok()) {
-            return parsed;
-        }
-        eprintln!("BENCH_TS is not a unix-seconds integer; using wall clock");
-    }
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
 }
 
 fn rendered(analysis: &MissionAnalysis) -> String {
@@ -182,11 +169,8 @@ fn main() {
         })
         .collect();
     let section = fleet_section(scorecard, &rows);
-    if let Err(e) =
-        std::fs::create_dir_all("artifacts").and_then(|()| std::fs::write(SCORECARD_PATH, &section))
-    {
-        eprintln!("warning: could not write {SCORECARD_PATH}: {e}");
-    }
+    let scorecard_path =
+        ares_bench::artifact::write_side_file(&out_path, "fleet_scorecard.txt", &section);
 
     let avail_obs_mean = drills.iter().map(|d| d.observed).sum::<f64>() / drills.len() as f64;
     let avail_model_mean = drills.iter().map(|d| d.model).sum::<f64>() / drills.len() as f64;
@@ -216,11 +200,10 @@ fn main() {
     ares_bench::artifact::splice_into_file(&out_path, "fleet", &member);
 
     // One compact line per run, appended forever.
-    let ts = history_timestamp();
-    let mut line = String::from("{");
+    let mut line = String::new();
     let _ = write!(
         line,
-        "\"ts\": {ts}, \"fleet_habitats\": {}, \"fleet_badge_days\": {}, \
+        "\"fleet_habitats\": {}, \"fleet_badge_days\": {}, \
          \"fleet_wall_s\": {:.6}, \"fleet_badge_days_per_s\": {:.2}, \
          \"fleet_deterministic\": {fleet_deterministic}",
         scorecard.config.habitats,
@@ -228,17 +211,7 @@ fn main() {
         scorecard.wall_s,
         scorecard.badge_days_per_s,
     );
-    line.push_str("}\n");
-    if let Err(e) = std::fs::create_dir_all("artifacts").and_then(|()| {
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(HISTORY_PATH)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-    }) {
-        eprintln!("warning: could not append {HISTORY_PATH}: {e}");
-    }
+    ares_bench::artifact::append_history(&out_path, &line);
 
     println!("{section}");
     println!(
@@ -249,7 +222,7 @@ fn main() {
         scorecard.wall_s,
         scorecard.badge_days_per_s,
     );
-    println!("wrote {out_path} and {SCORECARD_PATH}");
+    println!("wrote {out_path} and {}", scorecard_path.display());
     assert!(
         fleet_deterministic,
         "fleet determinism probe failed — see {out_path} and stderr"

@@ -15,7 +15,8 @@
 //! Results are spliced into `BENCH_pipeline.json` (or the path given as the
 //! first argument) as a top-level `"ingest"` object, and a human-readable
 //! reliability scorecard — engine stage timings plus per-shard ingest
-//! health — lands in `artifacts/ingest_scorecard.txt`.
+//! health — lands in `artifacts/ingest_scorecard.txt` in the output path's
+//! directory.
 //!
 //! ```text
 //! cargo run --release -p ares-bench --bin ingest_soak [out.json]
@@ -35,7 +36,6 @@ use ares_support::ingest::{
 use std::time::Instant;
 
 const DAY: u32 = 3;
-const SCORECARD_PATH: &str = "artifacts/ingest_scorecard.txt";
 
 /// Streams the feed to two tenants (one per shard), closes the day, and
 /// reports both the run outcome and the submit-to-finish wall time.
@@ -154,11 +154,8 @@ fn main() {
     // Reliability scorecard: the chaos run's engine stage timings (replays
     // included) plus per-shard ingest health, in mission-report form.
     let scorecard = engine_section_with_ingest(&drill.metrics, &faulted.report_rows());
-    if let Err(e) = std::fs::create_dir_all("artifacts")
-        .and_then(|()| std::fs::write(SCORECARD_PATH, &scorecard))
-    {
-        eprintln!("warning: could not write {SCORECARD_PATH}: {e}");
-    }
+    let scorecard_path =
+        ares_bench::artifact::write_side_file(&out_path, "ingest_scorecard.txt", &scorecard);
 
     println!("{scorecard}");
     println!(
@@ -172,7 +169,7 @@ fn main() {
         drill.replays,
         drill.wal_replayed,
     );
-    println!("wrote {out_path} and {SCORECARD_PATH}");
+    println!("wrote {out_path} and {}", scorecard_path.display());
     assert!(
         !recovery_divergent,
         "recovery divergence — see {out_path} and stderr"

@@ -29,7 +29,8 @@
 //!
 //! A per-plan scorecard (including each plan's `resolved_fraction` report
 //! row) lands in `artifacts/scenario_scorecard.txt`, and one compact line
-//! per run is appended to `artifacts/bench_history.jsonl`.
+//! per run is appended to `artifacts/bench_history.jsonl`, both in the
+//! output path's directory.
 //!
 //! ```text
 //! cargo run --release -p ares-bench --bin scenario_soak [out.json]
@@ -50,8 +51,6 @@ use ares_support::ingest::{wire_feed, TelemetryRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const SCORECARD_PATH: &str = "artifacts/scenario_scorecard.txt";
-const HISTORY_PATH: &str = "artifacts/bench_history.jsonl";
 /// Badges fed to the streaming replay probe per scenario (a genuine
 /// multi-badge interleave while keeping each probe fast).
 const STREAM_BADGES: usize = 3;
@@ -66,18 +65,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn history_timestamp() -> u64 {
-    if let Some(ts) = std::env::var_os("BENCH_TS") {
-        if let Some(parsed) = ts.to_str().and_then(|s| s.parse::<u64>().ok()) {
-            return parsed;
-        }
-        eprintln!("BENCH_TS is not a unix-seconds integer; using wall clock");
-    }
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
 }
 
 fn apply_record(
@@ -215,11 +202,8 @@ fn main() {
         .map(|r| r.resolved_fraction)
         .fold(1.0f64, f64::min);
     let section = scenario_section(&rows);
-    if let Err(e) =
-        std::fs::create_dir_all("artifacts").and_then(|()| std::fs::write(SCORECARD_PATH, &section))
-    {
-        eprintln!("warning: could not write {SCORECARD_PATH}: {e}");
-    }
+    let scorecard_path =
+        ares_bench::artifact::write_side_file(&out_path, "scenario_scorecard.txt", &section);
 
     let member = ares_bench::artifact::render_member(
         "scenario_gen",
@@ -233,32 +217,21 @@ fn main() {
     );
     ares_bench::artifact::splice_into_file(&out_path, "scenario_gen", &member);
 
-    let ts = history_timestamp();
-    let mut line = String::from("{");
+    let mut line = String::new();
     let _ = write!(
         line,
-        "\"ts\": {ts}, \"scenario_count\": {count}, \"scenario_validated\": {validated}, \
+        "\"scenario_count\": {count}, \"scenario_validated\": {validated}, \
          \"scenario_cache_purity_min\": {cache_purity_min:.6}, \
          \"scenario_deterministic\": {all_deterministic}, \"scenario_wall_s\": {wall_s:.6}"
     );
-    line.push_str("}\n");
-    if let Err(e) = std::fs::create_dir_all("artifacts").and_then(|()| {
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(HISTORY_PATH)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-    }) {
-        eprintln!("warning: could not append {HISTORY_PATH}: {e}");
-    }
+    ares_bench::artifact::append_history(&out_path, &line);
 
     println!("{section}");
     println!(
         "scenario soak: {validated}/{count} validated, cache purity min {cache_purity_min:.5}, \
          deterministic: {all_deterministic}, {wall_s:.2} s"
     );
-    println!("wrote {out_path} and {SCORECARD_PATH}");
+    println!("wrote {out_path} and {}", scorecard_path.display());
     assert_eq!(validated, count, "generated scenarios failed validation");
     assert!(
         all_deterministic,

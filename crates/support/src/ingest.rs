@@ -6,10 +6,19 @@
 //! runs one OS thread per *shard*; every tenant (one habitat/mission) is
 //! pinned to exactly one shard so cross-badge analysis (meetings, company
 //! time) always sees the whole crew. Producers hand records to
-//! [`IngestServer::submit`], which routes them onto a bounded SPSC queue with
-//! an explicit [`BackpressurePolicy`]: block the producer, or shed the record
-//! and count the loss per [`RecordKind`] — drops are typed, surfaced on the
-//! support bus ([`Topic::Ingest`]) and in the mission report, never silent.
+//! [`IngestServer::submit`] — from any number of threads at once — which
+//! routes them onto the shard's bounded queue with an explicit
+//! [`BackpressurePolicy`]: block the producer, or shed the record and count
+//! the loss per [`RecordKind`] — drops are typed, surfaced on the support bus
+//! ([`Topic::Ingest`]) and in the mission report, never silent.
+//!
+//! The queue is one mutex over the pending messages and two condition
+//! variables. The shard takes everything queued in one lock and works through
+//! it from a local batch; a producer wakes the shard only if it is parked,
+//! and the shard wakes producers only if one is parked. The capacity bounds
+//! records and day ends submitted but not yet applied, the shard's batch
+//! included: the shard gives capacity back every 64 messages, so a producer
+//! refills while the shard works.
 //!
 //! A shard holds, per tenant, exactly what it serves: the current day's
 //! telemetry per badge, the accumulated `MissionAnalysis`, and the applied
@@ -61,10 +70,8 @@ use ares_sociometrics::engine::{analyze_day_stores, EngineMetrics, MissionContex
 use ares_sociometrics::pipeline::MissionAnalysis;
 use ares_sociometrics::report::IngestShardRow;
 use ares_sociometrics::streaming::CheckpointCadence;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// One tenant of the ingest service: a habitat/mission whose badges form a
@@ -352,10 +359,161 @@ enum ShardMsg {
     /// Test hook: the shard acks on `ack`, then parks until `parked`
     /// disconnects, letting tests fill the bounded queue deterministically.
     Pause {
-        ack: Sender<()>,
-        parked: Receiver<()>,
+        ack: mpsc::Sender<()>,
+        parked: mpsc::Receiver<()>,
     },
-    Shutdown,
+}
+
+/// Data messages a shard applies before it gives their capacity back in the
+/// middle of a batch.
+const GIVE_BACK_EVERY: usize = 64;
+
+/// A [`ShardQueue`]'s state; every field is read and written under its lock.
+#[derive(Debug)]
+struct QueueState {
+    msgs: VecDeque<ShardMsg>,
+    /// Records and day ends submitted and not yet given back by the shard:
+    /// the queued ones plus those in the shard's batch.
+    depth: usize,
+    peak: usize,
+    /// Records shed, per [`RecordKind`].
+    dropped: [u64; 7],
+    /// The shard waits on `ready`.
+    shard_parked: bool,
+    /// Producers waiting on `space`.
+    producers_parked: usize,
+    /// No message will be pushed or taken any more: the server finished or
+    /// was dropped, or the shard thread ended.
+    closed: bool,
+}
+
+/// One shard's bounded front door, shared by every producer and the shard.
+#[derive(Debug)]
+struct ShardQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when a message arrives for a parked shard.
+    ready: Condvar,
+    /// Signalled when the shard gives capacity back to parked producers.
+    space: Condvar,
+    capacity: usize,
+}
+
+impl ShardQueue {
+    fn new(capacity: usize) -> Self {
+        ShardQueue {
+            state: Mutex::new(QueueState {
+                msgs: VecDeque::new(),
+                depth: 0,
+                peak: 0,
+                dropped: [0; 7],
+                shard_parked: false,
+                producers_parked: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Nothing panics between two writes to the state, so a guard poisoned
+    /// by a panicking thread still guards a consistent queue; recovering it
+    /// lets `close` run while a shard unwinds.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues a record or day end. With `shed == None` it waits for
+    /// capacity; with `Some(kind)` a full queue drops the message, counts it
+    /// under `kind` and returns that family's and the shard's drop totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard thread is gone.
+    fn push_data(&self, msg: ShardMsg, shed: Option<RecordKind>) -> Result<(), (u64, u64)> {
+        let mut st = self.lock();
+        loop {
+            assert!(!st.closed, "shard thread gone");
+            if st.depth < self.capacity {
+                break;
+            }
+            if let Some(kind) = shed {
+                st.dropped[kind.index()] += 1;
+                return Err((st.dropped[kind.index()], st.dropped.iter().sum()));
+            }
+            st.producers_parked += 1;
+            st = self.space.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.producers_parked -= 1;
+        }
+        st.depth += 1;
+        st.peak = st.peak.max(st.depth);
+        self.push(st, msg);
+        Ok(())
+    }
+
+    /// Enqueues a control message; it takes no capacity.
+    fn push_control(&self, msg: ShardMsg) {
+        let st = self.lock();
+        assert!(!st.closed, "shard thread gone");
+        self.push(st, msg);
+    }
+
+    fn push(&self, mut st: MutexGuard<'_, QueueState>, msg: ShardMsg) {
+        st.msgs.push_back(msg);
+        let wake = std::mem::take(&mut st.shard_parked);
+        drop(st);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The shard's bulk drain: gives back the capacity of `applied` data
+    /// messages, waits while nothing is queued, then moves every queued
+    /// message into the empty `batch`. Returns `false` once the queue is
+    /// closed and empty.
+    fn take(&self, batch: &mut VecDeque<ShardMsg>, applied: usize) -> bool {
+        let mut st = self.lock();
+        self.release(&mut st, applied);
+        while st.msgs.is_empty() {
+            if st.closed {
+                return false;
+            }
+            st.shard_parked = true;
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.shard_parked = false;
+        std::mem::swap(&mut st.msgs, batch);
+        true
+    }
+
+    /// Gives back the capacity of `applied` data messages.
+    fn give_back(&self, applied: usize) {
+        self.release(&mut self.lock(), applied);
+    }
+
+    fn release(&self, st: &mut QueueState, applied: usize) {
+        st.depth -= applied;
+        if applied > 0 && st.producers_parked > 0 {
+            self.space.notify_all();
+        }
+    }
+
+    /// Stops the queue: a parked shard drains what is left and exits, and a
+    /// producer that still waits panics instead of waiting forever.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+        self.space.notify_all();
+    }
+}
+
+/// Closes a shard's queue when the shard thread ends, also by a panic.
+struct CloseOnDrop(Arc<ShardQueue>);
+
+impl Drop for CloseOnDrop {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// A WAL entry: the data-plane payload of a [`ShardMsg`], sequence-numbered.
@@ -466,48 +624,6 @@ impl TenantLive {
             records: ckpt.records,
             days: ckpt.days,
         }
-    }
-}
-
-/// Shared per-shard observability counters (producer + consumer side). Depth
-/// counts only data messages (records and day ends, not control traffic) and
-/// is signed: the producer increments *after* a successful send, so the
-/// consumer's decrement can transiently run first and push the counter below
-/// zero — reads clamp at zero instead of wrapping.
-#[derive(Debug)]
-struct ShardStats {
-    dropped: [AtomicU64; 7],
-    queue_depth: AtomicI64,
-    queue_peak: AtomicUsize,
-}
-
-impl ShardStats {
-    fn new() -> Self {
-        ShardStats {
-            dropped: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_depth: AtomicI64::new(0),
-            queue_peak: AtomicUsize::new(0),
-        }
-    }
-
-    fn enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if depth > 0 {
-            self.queue_peak
-                .fetch_max(usize::try_from(depth).expect("positive"), Ordering::Relaxed);
-        }
-    }
-
-    fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn depth(&self) -> usize {
-        usize::try_from(self.queue_depth.load(Ordering::Relaxed).max(0)).expect("clamped")
-    }
-
-    fn dropped_total(&self) -> u64 {
-        self.dropped.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -625,7 +741,7 @@ impl IngestRunReport {
 /// shard.
 #[derive(Debug)]
 pub struct PauseGuard {
-    _tx: Sender<()>,
+    _tx: mpsc::Sender<()>,
 }
 
 /// The multi-tenant ingest front door. See the module docs for the
@@ -633,10 +749,19 @@ pub struct PauseGuard {
 #[derive(Debug)]
 pub struct IngestServer {
     config: IngestConfig,
-    txs: Vec<Sender<ShardMsg>>,
+    queues: Vec<Arc<ShardQueue>>,
     handles: Vec<JoinHandle<ShardReport>>,
-    stats: Vec<Arc<ShardStats>>,
     bus: Bus,
+}
+
+/// Closes every queue, so the shard threads drain what is left and exit
+/// even when [`IngestServer::finish`] is never called.
+impl Drop for IngestServer {
+    fn drop(&mut self) {
+        for queue in &self.queues {
+            queue.close();
+        }
+    }
 }
 
 impl IngestServer {
@@ -662,20 +787,17 @@ impl IngestServer {
         );
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let horizon = config.span.end + SimDuration::from_hours(24);
-        let mut txs = Vec::with_capacity(config.shards);
+        let mut queues = Vec::with_capacity(config.shards);
         let mut handles = Vec::with_capacity(config.shards);
-        let mut stats = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let (tx, rx) = bounded(config.queue_capacity);
-            let shard_stats = Arc::new(ShardStats::new());
+            let queue = Arc::new(ShardQueue::new(config.queue_capacity));
             let worker = ShardWorker::new(
                 shard,
                 &config,
                 ctx.clone(),
                 bus.clone(),
                 FaultScheduler::compile(plan, horizon),
-                rx,
-                Arc::clone(&shard_stats),
+                Arc::clone(&queue),
             );
             handles.push(
                 std::thread::Builder::new()
@@ -683,14 +805,12 @@ impl IngestServer {
                     .spawn(move || worker.run())
                     .expect("spawn shard thread"),
             );
-            txs.push(tx);
-            stats.push(shard_stats);
+            queues.push(queue);
         }
         IngestServer {
             config,
-            txs,
+            queues,
             handles,
-            stats,
             bus,
         }
     }
@@ -702,49 +822,29 @@ impl IngestServer {
     pub fn submit(&self, tenant: TenantId, badge: BadgeId, record: TelemetryRecord) -> bool {
         let shard = self.config.shard_of(tenant);
         let kind = record.kind();
+        let shed = (self.config.policy == BackpressurePolicy::Shed).then_some(kind);
         let msg = ShardMsg::Record {
             tenant,
             badge,
             record,
         };
-        match self.config.policy {
-            BackpressurePolicy::Block => {
-                assert!(
-                    self.txs[shard].send(msg).is_ok(),
-                    "shard {shard} thread gone"
-                );
-                self.stats[shard].enqueued();
-                true
-            }
-            BackpressurePolicy::Shed => match self.txs[shard].try_send(msg) {
-                Ok(()) => {
-                    self.stats[shard].enqueued();
-                    true
-                }
-                Err(TrySendError::Full(_)) => {
-                    let stats = &self.stats[shard];
-                    let n = stats.dropped[kind.index()].fetch_add(1, Ordering::Relaxed) + 1;
-                    let total = stats.dropped_total();
-                    if (total - 1).is_multiple_of(self.config.drop_publish_every) {
-                        self.bus.publish(
-                            Topic::Ingest,
-                            Message {
-                                from: format!("ingest/shard{shard}"),
-                                payload: format!(
-                                    "{{\"shed\": \"{}\", \"kind_dropped\": {n}, \
-                                     \"shard_dropped\": {total}}}",
-                                    kind.label()
-                                ),
-                            },
-                        );
-                    }
-                    false
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    panic!("shard {shard} thread gone")
-                }
-            },
+        let Err((n, total)) = self.queues[shard].push_data(msg, shed) else {
+            return true;
+        };
+        if (total - 1).is_multiple_of(self.config.drop_publish_every) {
+            self.bus.publish(
+                Topic::Ingest,
+                Message {
+                    from: format!("ingest/shard{shard}"),
+                    payload: format!(
+                        "{{\"shed\": \"{}\", \"kind_dropped\": {n}, \
+                         \"shard_dropped\": {total}}}",
+                        kind.label()
+                    ),
+                },
+            );
         }
+        false
     }
 
     /// Marks the end of `tenant`'s mission day `day` at time `at`: the shard
@@ -752,13 +852,9 @@ impl IngestServer {
     /// `MissionAnalysis`. Day ends are never shed — this always blocks.
     pub fn end_day(&self, tenant: TenantId, day: u32, at: SimTime) {
         let shard = self.config.shard_of(tenant);
-        assert!(
-            self.txs[shard]
-                .send(ShardMsg::DayEnd { tenant, day, at })
-                .is_ok(),
-            "shard {shard} thread gone"
-        );
-        self.stats[shard].enqueued();
+        self.queues[shard]
+            .push_data(ShardMsg::DayEnd { tenant, day, at }, None)
+            .expect("a blocking push never sheds");
     }
 
     /// Parks a shard until the returned guard is dropped. Test hook: with a
@@ -768,39 +864,27 @@ impl IngestServer {
     /// queued ahead of the pause first).
     #[must_use]
     pub fn pause_shard(&self, shard: usize) -> PauseGuard {
-        let (ack_tx, ack_rx) = bounded(1);
-        let (tx, rx) = bounded(1);
-        assert!(
-            self.txs[shard]
-                .send(ShardMsg::Pause {
-                    ack: ack_tx,
-                    parked: rx,
-                })
-                .is_ok(),
-            "shard {shard} thread gone"
-        );
+        let (ack_tx, ack_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        self.queues[shard].push_control(ShardMsg::Pause {
+            ack: ack_tx,
+            parked: rx,
+        });
         ack_rx.recv().expect("shard acked the pause");
         PauseGuard { _tx: tx }
     }
 
-    /// Current depth of a shard's bounded queue (enqueued, not yet consumed).
+    /// Current depth of a shard's bounded queue: records and day ends
+    /// submitted and not yet applied.
     #[must_use]
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.stats[shard].depth()
+        self.queues[shard].lock().depth
     }
 
     /// Records shed so far on a shard, per family.
     #[must_use]
     pub fn dropped(&self, shard: usize) -> Vec<(&'static str, u64)> {
-        RecordKind::ALL
-            .into_iter()
-            .map(|k| {
-                (
-                    k.label(),
-                    self.stats[shard].dropped[k.index()].load(Ordering::Relaxed),
-                )
-            })
-            .collect()
+        dropped_by_kind(&self.queues[shard].lock())
     }
 
     /// Shuts every shard down, joins the workers, and returns the collected
@@ -810,21 +894,23 @@ impl IngestServer {
     ///
     /// Panics if a shard thread panicked.
     #[must_use]
-    pub fn finish(self) -> IngestRunReport {
-        for (shard, tx) in self.txs.iter().enumerate() {
-            assert!(
-                tx.send(ShardMsg::Shutdown).is_ok(),
-                "shard {shard} thread gone"
-            );
+    pub fn finish(mut self) -> IngestRunReport {
+        for queue in &self.queues {
+            queue.close();
         }
-        drop(self.txs);
-        let shards = self
-            .handles
+        let shards = std::mem::take(&mut self.handles)
             .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
             .collect();
         IngestRunReport { shards }
     }
+}
+
+fn dropped_by_kind(st: &QueueState) -> Vec<(&'static str, u64)> {
+    RecordKind::ALL
+        .into_iter()
+        .map(|k| (k.label(), st.dropped[k.index()]))
+        .collect()
 }
 
 /// The state owned by one shard thread.
@@ -833,8 +919,7 @@ struct ShardWorker {
     ctx: MissionContext,
     bus: Bus,
     sched: FaultScheduler,
-    rx: Receiver<ShardMsg>,
-    stats: Arc<ShardStats>,
+    queue: Arc<ShardQueue>,
     replicas: Vec<ReplicaId>,
     service: ReplicatedService,
     vault: CheckpointVault<ShardCheckpoint>,
@@ -860,8 +945,7 @@ impl ShardWorker {
         ctx: MissionContext,
         bus: Bus,
         sched: FaultScheduler,
-        rx: Receiver<ShardMsg>,
-        stats: Arc<ShardStats>,
+        queue: Arc<ShardQueue>,
     ) -> Self {
         let start = config.span.start;
         let replicas = config.replica_set(shard);
@@ -870,8 +954,7 @@ impl ShardWorker {
             ctx,
             bus,
             sched,
-            rx,
-            stats,
+            queue,
             service: ReplicatedService::new(
                 format!("ingest-shard-{shard}"),
                 &replicas,
@@ -897,33 +980,40 @@ impl ShardWorker {
     }
 
     fn run(mut self) -> ShardReport {
-        loop {
-            let Ok(msg) = self.rx.recv() else { break };
-            match msg {
-                ShardMsg::Record {
-                    tenant,
-                    badge,
-                    record,
-                } => {
-                    self.stats.dequeued();
-                    self.advance(record.t_local());
-                    self.append_and_apply(WalEntry::Record {
+        let queue = CloseOnDrop(Arc::clone(&self.queue));
+        let mut batch = VecDeque::new();
+        let mut applied = 0;
+        while queue.0.take(&mut batch, std::mem::take(&mut applied)) {
+            for msg in batch.drain(..) {
+                match msg {
+                    ShardMsg::Record {
                         tenant,
                         badge,
                         record,
-                    });
+                    } => {
+                        self.advance(record.t_local());
+                        self.append_and_apply(WalEntry::Record {
+                            tenant,
+                            badge,
+                            record,
+                        });
+                    }
+                    ShardMsg::DayEnd { tenant, day, at } => {
+                        self.advance(at);
+                        self.append_and_apply(WalEntry::DayEnd { tenant, day });
+                    }
+                    ShardMsg::Pause { ack, parked } => {
+                        queue.0.give_back(std::mem::take(&mut applied));
+                        let _ = ack.send(());
+                        // Blocks until the guard (the sender) is dropped.
+                        let _ = parked.recv();
+                        continue;
+                    }
                 }
-                ShardMsg::DayEnd { tenant, day, at } => {
-                    self.stats.dequeued();
-                    self.advance(at);
-                    self.append_and_apply(WalEntry::DayEnd { tenant, day });
+                applied += 1;
+                if applied == GIVE_BACK_EVERY {
+                    queue.0.give_back(std::mem::take(&mut applied));
                 }
-                ShardMsg::Pause { ack, parked } => {
-                    let _ = ack.send(());
-                    // Blocks until the guard (the sender) is dropped.
-                    let _ = parked.recv();
-                }
-                ShardMsg::Shutdown => break,
             }
         }
         self.into_report()
@@ -1036,15 +1126,10 @@ impl ShardWorker {
     }
 
     fn into_report(self) -> ShardReport {
-        let dropped = RecordKind::ALL
-            .into_iter()
-            .map(|k| {
-                (
-                    k.label(),
-                    self.stats.dropped[k.index()].load(Ordering::Relaxed),
-                )
-            })
-            .collect();
+        let (dropped, queue_peak) = {
+            let st = self.queue.lock();
+            (dropped_by_kind(&st), st.peak)
+        };
         ShardReport {
             shard: self.shard,
             wal_appended: self.seq,
@@ -1056,7 +1141,7 @@ impl ShardWorker {
             checkpoints_dropped: self.checkpoints_dropped,
             checkpoints_rejected: self.vault.rejected(),
             dropped,
-            queue_peak: self.stats.queue_peak.load(Ordering::Relaxed),
+            queue_peak,
             tenants: self
                 .live
                 .into_iter()
@@ -1325,6 +1410,69 @@ mod tests {
         assert_eq!(tenant.records, 50);
     }
 
+    /// The bound counts the shard's batch too: a producer flooding a small
+    /// queue never sees more than `queue_capacity` records unapplied.
+    #[test]
+    fn block_policy_holds_the_queue_bound_exactly() {
+        let ctx = MissionContext::icares();
+        let server = Arc::new(IngestServer::spawn(
+            config(1, 8, BackpressurePolicy::Block),
+            &ctx,
+            Bus::new(),
+            &FaultPlan::new(1),
+        ));
+        let producer = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                for i in 0..5_000u32 {
+                    let record = sync_at(1, 8 + i / 3600, i / 60 % 60, i % 60);
+                    assert!(server.submit(TenantId(0), BadgeId(0), record));
+                }
+            })
+        };
+        producer.join().expect("producer");
+        let server = Arc::into_inner(server).expect("sole owner");
+        let queue = Arc::clone(&server.queues[0]);
+        let report = server.finish();
+        assert_eq!(report.records_applied(), 5_000);
+        assert!(
+            report.shards[0].queue_peak <= 8,
+            "peak {} over capacity 8",
+            report.shards[0].queue_peak
+        );
+        assert_eq!(queue.lock().depth, 0, "every slot given back");
+    }
+
+    /// A server dropped without `finish` still lets its shard threads end.
+    #[test]
+    fn dropping_the_server_lets_the_shards_exit() {
+        let (done_tx, done_rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let mut server = IngestServer::spawn(
+                config(2, 4, BackpressurePolicy::Block),
+                &MissionContext::icares(),
+                Bus::new(),
+                &FaultPlan::new(1),
+            );
+            for i in 0..20u32 {
+                assert!(server.submit(TenantId(0), BadgeId(0), sync_at(1, 8, 0, i)));
+            }
+            let handles = std::mem::take(&mut server.handles);
+            drop(server);
+            for h in handles {
+                h.join().expect("shard thread ended cleanly");
+            }
+            done_tx.send(()).expect("test waits");
+        });
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .is_ok(),
+            "shard threads still running after the server was dropped"
+        );
+        helper.join().expect("helper");
+    }
+
     #[test]
     fn day_end_folds_an_analysis_and_checkpoints_follow_cadence() {
         let ctx = MissionContext::icares();
@@ -1353,15 +1501,13 @@ mod tests {
         let ctx = MissionContext::icares();
         let cfg = config(1, 16, BackpressurePolicy::Block);
         let horizon = cfg.span.end + SimDuration::from_hours(24);
-        let (_tx, rx) = bounded(1);
         let mut worker = ShardWorker::new(
             0,
             &cfg,
             ctx,
             Bus::new(),
             FaultScheduler::compile(&FaultPlan::new(1), horizon),
-            rx,
-            Arc::new(ShardStats::new()),
+            Arc::new(ShardQueue::new(1)),
         );
         let mut accepted: Vec<ShardCheckpoint> = Vec::new();
         for m in 0..90u32 {

@@ -13,6 +13,9 @@ cargo build --release --workspace
 
 echo "== tier1: tests =="
 cargo test -q --workspace
+# The vendored channel shim is not a workspace member; its wake-up tests
+# guard the support bus.
+cargo test -q -p crossbeam
 
 echo "== tier1: perfbench self-tests (benchmark builds against the crates) =="
 # perfbench is its own workspace that calls the crates' public APIs; running
