@@ -9,16 +9,11 @@
 //! cargo run --release -p ares-bench --bin chaos [seed]
 //! ```
 
-use ares_support::chaos::FaultPlan;
-use ares_support::runtime::{ChaosConfig, ChaosMission};
-use std::fmt::Write as _;
-
-const DAY: u32 = 5;
-const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+use ares_support::runtime::{chaos_sweep, render_chaos_sweep, CHAOS_SWEEP_SEED};
 
 fn main() {
     let seed = match std::env::args().nth(1) {
-        None => 0x1CA7E5,
+        None => CHAOS_SWEEP_SEED,
         Some(s) => {
             let parsed = s
                 .strip_prefix("0x")
@@ -34,19 +29,10 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let mut artifact = String::new();
-    let _ = writeln!(
-        artifact,
-        "# chaos sweep — seed {seed:#x}, mission day {DAY}, 2-min ticks\n"
-    );
+    let sweep = chaos_sweep(seed);
     println!("intensity | avail %  | failovers | MTTR min | telemetry s/d/dup | replay gap min");
     println!("----------|----------|-----------|----------|-------------------|---------------");
-    for intensity in INTENSITIES {
-        let mut cfg = ChaosConfig::icares_day(DAY);
-        cfg.telemetry_loss = 0.3 * intensity;
-        let plan = FaultPlan::sweep(seed, intensity, cfg.span);
-        let mut mission = ChaosMission::new(cfg, &plan);
-        let report = mission.run();
+    for (intensity, report) in &sweep {
         println!(
             "{:9.2} | {:8.3} | {:9} | {:8.1} | {:5}/{:<5}/{:<5} | {:.1}",
             intensity,
@@ -57,11 +43,6 @@ fn main() {
             report.telemetry.delivered,
             report.telemetry.duplicates,
             report.max_replay_gap.as_secs_f64() / 60.0,
-        );
-        let _ = writeln!(
-            artifact,
-            "## intensity {intensity:.2}\n\n{}",
-            report.render()
         );
         // The robustness contract, enforced at every intensity: the tier
         // serves, and the reliable channel never permanently loses a digest.
@@ -78,6 +59,7 @@ fn main() {
         );
         assert_eq!(report.telemetry.sent, report.telemetry.delivered);
     }
+    let artifact = render_chaos_sweep(seed, &sweep);
     match std::fs::create_dir_all("artifacts")
         .and_then(|()| std::fs::write("artifacts/chaos_scorecards.md", &artifact))
     {

@@ -131,63 +131,6 @@ impl AnalyzerCheckpoint {
     }
 }
 
-/// A checkpoint schedule on the sim clock: arms at `start + every` and fires
-/// once per call to [`CheckpointCadence::due`] whenever the deadline has
-/// passed, then re-arms past `now`. Long gaps (an idle stream, a stalled
-/// shard) collapse into a single firing instead of a burst of stale
-/// checkpoints.
-///
-/// Serializable so a shard can carry its cadence inside its own checkpoint
-/// and resume the schedule after a promotion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointCadence {
-    every: SimDuration,
-    next: SimTime,
-}
-
-impl CheckpointCadence {
-    /// A cadence firing every `every`, first due at `start + every`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is not a positive duration.
-    #[must_use]
-    pub fn new(start: SimTime, every: SimDuration) -> Self {
-        assert!(
-            every > SimDuration::ZERO,
-            "checkpoint cadence must be positive"
-        );
-        CheckpointCadence {
-            every,
-            next: start + every,
-        }
-    }
-
-    /// Whether a checkpoint is due at `now`; if so, re-arms strictly past
-    /// `now` (one firing, however late the caller is).
-    pub fn due(&mut self, now: SimTime) -> bool {
-        if now < self.next {
-            return false;
-        }
-        while self.next <= now {
-            self.next += self.every;
-        }
-        true
-    }
-
-    /// The next scheduled firing instant.
-    #[must_use]
-    pub fn next_at(&self) -> SimTime {
-        self.next
-    }
-
-    /// The configured period.
-    #[must_use]
-    pub fn every(&self) -> SimDuration {
-        self.every
-    }
-}
-
 /// The bounded-memory streaming analyzer.
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
@@ -714,19 +657,8 @@ mod tests {
     }
 
     #[test]
-    fn cadence_fires_once_per_deadline_and_collapses_gaps() {
+    fn checkpoint_carries_the_replay_cursor() {
         let t0 = SimTime::from_day_hms(3, 0, 0, 0);
-        let mut c = CheckpointCadence::new(t0, SimDuration::from_mins(15));
-        assert!(!c.due(t0 + SimDuration::from_mins(14)));
-        assert!(c.due(t0 + SimDuration::from_mins(15)));
-        assert_eq!(c.next_at(), t0 + SimDuration::from_mins(30));
-        // Nothing more until the next deadline.
-        assert!(!c.due(t0 + SimDuration::from_mins(16)));
-        // A long stall collapses to one firing, re-armed past `now`.
-        assert!(c.due(t0 + SimDuration::from_mins(100)));
-        assert_eq!(c.next_at(), t0 + SimDuration::from_mins(105));
-        assert!(!c.due(t0 + SimDuration::from_mins(104)));
-        // The replay cursor rides the checkpoint.
         let mut sa = StreamingAnalyzer::icares();
         sa.ingest_sync(
             BadgeId(0),

@@ -334,14 +334,6 @@ impl FaultScheduler {
     pub fn reference_available(&self, t: SimTime) -> bool {
         !self.reference_outage.contains(t)
     }
-
-    /// Total crash-outage time scheduled for a replica within `[lo, hi)`.
-    #[must_use]
-    pub fn crash_downtime(&self, replica: ReplicaId, lo: SimTime, hi: SimTime) -> SimDuration {
-        self.crashed
-            .get(&replica)
-            .map_or(SimDuration::ZERO, |set| set.duration_within(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -389,10 +381,6 @@ mod tests {
         assert!(sched.badge_alive(BadgeId(2), t(3, 13, 59)));
         assert!(!sched.badge_alive(BadgeId(2), t(3, 14, 0)));
         assert!(sched.badge_alive(BadgeId(9), t(3, 23, 0)));
-        assert_eq!(
-            sched.crash_downtime(ReplicaId(0), t(3, 0, 0), t(4, 0, 0)),
-            SimDuration::from_hours(3)
-        );
         assert!(sched.blackouts().contains(t(3, 11, 0)));
     }
 

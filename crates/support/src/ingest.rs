@@ -29,15 +29,12 @@
 //!
 //! ## Recovery protocol
 //!
-//! Each shard simulates a replicated analysis service, exactly as the chaos
-//! drills do: [`ReplicatedService`] detects failures from heartbeats, a
-//! [`CheckpointVault`] holds the latest replicated [`ShardCheckpoint`], and a
-//! per-shard write-ahead log records every ingested entry *before* it is
-//! applied. The data path is:
+//! Each shard is a [`Replicated`] service, the same driver the chaos drill
+//! runs: its log is the shard's write-ahead log, and the state it serves is
+//! every tenant's live state. The data path is:
 //!
 //! 1. every entry is appended to the WAL under a monotone sequence number;
-//! 2. if a live primary exists, the entry is applied to the live state and
-//!    the primary's cursor advances to that sequence number;
+//! 2. while a live primary serves, it applies every entry past its cursor;
 //! 3. on the checkpoint cadence, a serving primary snapshots all tenant
 //!    state plus its cursor into the vault (unless a `BusDrop` fault has the
 //!    replication link down), and the WAL is truncated up to the cursor. The
@@ -59,7 +56,7 @@
 
 use crate::bus::{Bus, Message, Topic};
 use crate::chaos::{FaultPlan, FaultScheduler};
-use crate::failover::{CheckpointVault, FailoverEvent, ReplicaId, ReplicatedService};
+use crate::failover::{FailoverEvent, ReplicaId, ReplicaState, Replicated};
 use ares_badge::records::{
     AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SyncSample,
 };
@@ -69,7 +66,6 @@ use ares_simkit::time::{SimDuration, SimTime};
 use ares_sociometrics::engine::{analyze_day_stores, EngineMetrics, MissionContext};
 use ares_sociometrics::pipeline::MissionAnalysis;
 use ares_sociometrics::report::IngestShardRow;
-use ares_sociometrics::streaming::CheckpointCadence;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -309,38 +305,15 @@ impl IngestConfig {
     }
 }
 
-/// Per-tenant state replicated in a [`ShardCheckpoint`]. Telemetry is held
-/// as the sealed segments the live state shares, so taking a checkpoint
-/// copies no record.
+/// Per-tenant state replicated in a shard checkpoint. Telemetry is held as
+/// the sealed segments the live state shares, so taking a checkpoint copies
+/// no record.
 #[derive(Debug, Clone)]
-pub struct TenantCheckpoint {
+struct TenantCheckpoint {
     segments: Vec<(BadgeId, Vec<Arc<TelemetryStore>>)>,
     analysis: Arc<MissionAnalysis>,
     records: u64,
     days: u64,
-}
-
-/// Everything a promoted backup needs to resume a shard: all tenant state
-/// plus the WAL cursor the snapshot covers.
-#[derive(Debug, Clone)]
-pub struct ShardCheckpoint {
-    taken_at: SimTime,
-    cursor: u64,
-    tenants: Vec<(TenantId, TenantCheckpoint)>,
-}
-
-impl ShardCheckpoint {
-    /// When the snapshot was taken.
-    #[must_use]
-    pub fn taken_at(&self) -> SimTime {
-        self.taken_at
-    }
-
-    /// The WAL sequence number the snapshot covers: replay starts after it.
-    #[must_use]
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
 }
 
 /// A shard's message queue entries.
@@ -516,7 +489,8 @@ impl Drop for CloseOnDrop {
     }
 }
 
-/// A WAL entry: the data-plane payload of a [`ShardMsg`], sequence-numbered.
+/// A WAL entry: the data-plane payload of a [`ShardMsg`].
+#[derive(Debug)]
 enum WalEntry {
     Record {
         tenant: TenantId,
@@ -913,29 +887,72 @@ fn dropped_by_kind(st: &QueueState) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
+/// What a shard's primary serves: every tenant's live state, plus the engine
+/// metrics of the day analyses it ran (replays included).
+struct ShardState {
+    ctx: MissionContext,
+    live: BTreeMap<TenantId, TenantLive>,
+    metrics: EngineMetrics,
+}
+
+impl ReplicaState for ShardState {
+    type Entry = WalEntry;
+    type Checkpoint = Vec<(TenantId, TenantCheckpoint)>;
+    type Output = ();
+
+    /// The deterministic data plane. It borrows the entry from the WAL, so a
+    /// record is owned once, by the log.
+    fn apply(&mut self, entry: &WalEntry, _: &mut Vec<()>) {
+        let (WalEntry::Record { tenant, .. } | WalEntry::DayEnd { tenant, .. }) = entry;
+        let live = self
+            .live
+            .entry(*tenant)
+            .or_insert_with(|| TenantLive::fresh(&self.ctx));
+        match entry {
+            WalEntry::Record { badge, record, .. } => {
+                let day = live
+                    .day
+                    .entry(*badge)
+                    .or_insert_with(|| BadgeDay::new(*badge));
+                record.clone().push_into(&mut day.tail);
+                live.records += 1;
+            }
+            WalEntry::DayEnd { day, .. } => {
+                // Join each badge's segments into the day's stores; the
+                // tenant starts the next day with an empty map.
+                let stores: Vec<TelemetryStore> = std::mem::take(&mut live.day)
+                    .into_values()
+                    .map(BadgeDay::join)
+                    .collect();
+                let analysis = analyze_day_stores(&self.ctx, *day, &stores, &mut self.metrics);
+                // Clones the mission analysis only while the vault shares it.
+                Arc::make_mut(&mut live.analysis).absorb(analysis);
+                live.days += 1;
+            }
+        }
+    }
+
+    fn checkpoint(&mut self, _: SimTime) -> Self::Checkpoint {
+        self.live
+            .iter_mut()
+            .map(|(t, l)| (*t, l.checkpoint()))
+            .collect()
+    }
+
+    fn restore(&mut self, ckpt: &Self::Checkpoint) {
+        self.live = ckpt
+            .iter()
+            .map(|(t, c)| (*t, TenantLive::restore(c)))
+            .collect();
+    }
+}
+
 /// The state owned by one shard thread.
 struct ShardWorker {
     shard: usize,
-    ctx: MissionContext,
     bus: Bus,
-    sched: FaultScheduler,
     queue: Arc<ShardQueue>,
-    replicas: Vec<ReplicaId>,
-    service: ReplicatedService,
-    vault: CheckpointVault<ShardCheckpoint>,
-    cadence: CheckpointCadence,
-    wal: Vec<(u64, WalEntry)>,
-    seq: u64,
-    cursor: u64,
-    clock: SimTime,
-    live: BTreeMap<TenantId, TenantLive>,
-    metrics: EngineMetrics,
-    failovers: u64,
-    replays: u64,
-    wal_replayed: u64,
-    max_replay_gap: SimDuration,
-    checkpoints: u64,
-    checkpoints_dropped: u64,
+    service: Replicated<ShardState>,
 }
 
 impl ShardWorker {
@@ -947,35 +964,24 @@ impl ShardWorker {
         sched: FaultScheduler,
         queue: Arc<ShardQueue>,
     ) -> Self {
-        let start = config.span.start;
-        let replicas = config.replica_set(shard);
-        ShardWorker {
-            shard,
+        let state = ShardState {
             ctx,
-            bus,
-            sched,
-            queue,
-            service: ReplicatedService::new(
-                format!("ingest-shard-{shard}"),
-                &replicas,
-                config.heartbeat_deadline,
-                start,
-            ),
-            replicas,
-            vault: CheckpointVault::new(),
-            cadence: CheckpointCadence::new(start, config.checkpoint_every),
-            wal: Vec::new(),
-            seq: 0,
-            cursor: 0,
-            clock: start,
             live: BTreeMap::new(),
             metrics: EngineMetrics::new(),
-            failovers: 0,
-            replays: 0,
-            wal_replayed: 0,
-            max_replay_gap: SimDuration::ZERO,
-            checkpoints: 0,
-            checkpoints_dropped: 0,
+        };
+        ShardWorker {
+            shard,
+            bus,
+            queue,
+            service: Replicated::new(
+                format!("ingest-shard-{shard}"),
+                &config.replica_set(shard),
+                config.heartbeat_deadline,
+                config.checkpoint_every,
+                config.span.start,
+                sched,
+                state,
+            ),
         }
     }
 
@@ -992,7 +998,7 @@ impl ShardWorker {
                         record,
                     } => {
                         self.advance(record.t_local());
-                        self.append_and_apply(WalEntry::Record {
+                        self.service.append(WalEntry::Record {
                             tenant,
                             badge,
                             record,
@@ -1000,7 +1006,7 @@ impl ShardWorker {
                     }
                     ShardMsg::DayEnd { tenant, day, at } => {
                         self.advance(at);
-                        self.append_and_apply(WalEntry::DayEnd { tenant, day });
+                        self.service.append(WalEntry::DayEnd { tenant, day });
                     }
                     ShardMsg::Pause { ack, parked } => {
                         queue.0.give_back(std::mem::take(&mut applied));
@@ -1019,99 +1025,20 @@ impl ShardWorker {
         self.into_report()
     }
 
-    /// Advances the shard clock monotonically and runs the control plane:
-    /// heartbeats from scheduler-alive replicas, failure detection, and —
-    /// on a promotion — recovery from the vault plus WAL replay.
+    /// Advances the shard's service to `t` and publishes its promotions and
+    /// outages on the bus.
     fn advance(&mut self, t: SimTime) {
-        self.clock = self.clock.max(t);
-        for i in 0..self.replicas.len() {
-            let rid = self.replicas[i];
-            if self.sched.heartbeat_delivered(rid, self.clock) {
-                self.service.heartbeat(rid, self.clock);
-            }
-        }
-        for ev in self.service.tick(self.clock) {
+        for ev in self.service.advance(t) {
+            let clock = self.service.clock();
             match ev {
                 FailoverEvent::Promoted(p) => {
-                    self.failovers += 1;
-                    self.recover();
-                    self.publish_control(&format!(
-                        "{{\"promoted\": {}, \"at\": \"{}\"}}",
-                        p.0, self.clock
-                    ));
+                    self.publish_control(&format!("{{\"promoted\": {}, \"at\": \"{clock}\"}}", p.0))
                 }
                 FailoverEvent::ServiceDown => {
-                    self.publish_control(&format!("{{\"service_down\": \"{}\"}}", self.clock));
+                    self.publish_control(&format!("{{\"service_down\": \"{clock}\"}}"));
                 }
                 _ => {}
             }
-        }
-    }
-
-    /// Rebuilds the live state as a freshly promoted backup would: restore
-    /// the vault's latest checkpoint (or start empty) and replay every WAL
-    /// entry past its cursor.
-    fn recover(&mut self) {
-        self.live.clear();
-        self.cursor = 0;
-        if let Some((at, ckpt)) = self.vault.latest() {
-            self.cursor = ckpt.cursor;
-            for (tenant, tckpt) in &ckpt.tenants {
-                self.live.insert(*tenant, TenantLive::restore(tckpt));
-            }
-            self.replays += 1;
-            let gap = self.clock - at;
-            if gap > self.max_replay_gap {
-                self.max_replay_gap = gap;
-            }
-        }
-        let cursor = self.cursor;
-        for (s, entry) in self.wal.iter().filter(|&&(s, _)| s > cursor) {
-            apply(&mut self.live, &self.ctx, &mut self.metrics, entry);
-            self.cursor = *s;
-            self.wal_replayed += 1;
-        }
-    }
-
-    /// WAL-appends an entry, then — if a live primary is serving — applies
-    /// it from the WAL and advances the cursor, and takes any due checkpoint.
-    fn append_and_apply(&mut self, entry: WalEntry) {
-        self.seq += 1;
-        self.wal.push((self.seq, entry));
-        let serving = self
-            .service
-            .primary()
-            .is_some_and(|p| self.sched.replica_alive(p, self.clock));
-        if !serving {
-            return;
-        }
-        let (_, entry) = self.wal.last().expect("just appended");
-        apply(&mut self.live, &self.ctx, &mut self.metrics, entry);
-        self.cursor = self.seq;
-        if self.cadence.due(self.clock) {
-            self.take_checkpoint();
-        }
-    }
-
-    fn take_checkpoint(&mut self) {
-        if self.sched.bus_drop_active(self.clock) {
-            // Replication link down: the snapshot never reaches the vault.
-            self.checkpoints_dropped += 1;
-            return;
-        }
-        let snapshot = ShardCheckpoint {
-            taken_at: self.clock,
-            cursor: self.cursor,
-            tenants: self
-                .live
-                .iter_mut()
-                .map(|(t, l)| (*t, l.checkpoint()))
-                .collect(),
-        };
-        let cursor = self.cursor;
-        if self.vault.offer(self.clock, snapshot) {
-            self.checkpoints += 1;
-            self.wal.retain(|&(s, _)| s > cursor);
         }
     }
 
@@ -1130,19 +1057,23 @@ impl ShardWorker {
             let st = self.queue.lock();
             (dropped_by_kind(&st), st.peak)
         };
+        let stats = self.service.stats();
+        let wal_appended = self.service.appended();
+        let failover_log = self.service.detector().log().to_vec();
+        let state = self.service.into_state();
         ShardReport {
             shard: self.shard,
-            wal_appended: self.seq,
-            failovers: self.failovers,
-            replays: self.replays,
-            wal_replayed: self.wal_replayed,
-            max_replay_gap: self.max_replay_gap,
-            checkpoints: self.checkpoints,
-            checkpoints_dropped: self.checkpoints_dropped,
-            checkpoints_rejected: self.vault.rejected(),
+            wal_appended,
+            failovers: stats.failovers,
+            replays: stats.replays,
+            wal_replayed: stats.replayed,
+            max_replay_gap: stats.max_replay_gap,
+            checkpoints: stats.checkpoints,
+            checkpoints_dropped: stats.checkpoints_dropped,
+            checkpoints_rejected: stats.checkpoints_rejected,
             dropped,
             queue_peak,
-            tenants: self
+            tenants: state
                 .live
                 .into_iter()
                 .map(|(t, l)| {
@@ -1156,51 +1087,8 @@ impl ShardWorker {
                     )
                 })
                 .collect(),
-            metrics: self.metrics,
-            failover_log: self.service.log().to_vec(),
-        }
-    }
-}
-
-/// The deterministic data plane: exactly this function runs both live and
-/// during replay, so recovered state cannot diverge. It borrows the entry
-/// from the WAL, so a record is owned once, by the log.
-fn apply(
-    live: &mut BTreeMap<TenantId, TenantLive>,
-    ctx: &MissionContext,
-    metrics: &mut EngineMetrics,
-    entry: &WalEntry,
-) {
-    match entry {
-        WalEntry::Record {
-            tenant,
-            badge,
-            record,
-        } => {
-            let live = live
-                .entry(*tenant)
-                .or_insert_with(|| TenantLive::fresh(ctx));
-            let day = live
-                .day
-                .entry(*badge)
-                .or_insert_with(|| BadgeDay::new(*badge));
-            record.clone().push_into(&mut day.tail);
-            live.records += 1;
-        }
-        WalEntry::DayEnd { tenant, day } => {
-            let live = live
-                .entry(*tenant)
-                .or_insert_with(|| TenantLive::fresh(ctx));
-            // Join each badge's segments into the day's stores; the tenant
-            // starts the next day with an empty map.
-            let stores: Vec<TelemetryStore> = std::mem::take(&mut live.day)
-                .into_values()
-                .map(BadgeDay::join)
-                .collect();
-            let analysis = analyze_day_stores(ctx, *day, &stores, metrics);
-            // Clones the mission analysis only while the vault shares it.
-            Arc::make_mut(&mut live.analysis).absorb(analysis);
-            live.days += 1;
+            metrics: state.metrics,
+            failover_log,
         }
     }
 }
@@ -1208,6 +1096,7 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failover::Snapshot;
 
     fn sync_at(day: u32, h: u32, m: u32, s: u32) -> TelemetryRecord {
         let t = SimTime::from_day_hms(day, h, m, s);
@@ -1509,35 +1398,35 @@ mod tests {
             FaultScheduler::compile(&FaultPlan::new(1), horizon),
             Arc::new(ShardQueue::new(1)),
         );
-        let mut accepted: Vec<ShardCheckpoint> = Vec::new();
+        let mut accepted: Vec<Snapshot<Vec<(TenantId, TenantCheckpoint)>>> = Vec::new();
         for m in 0..90u32 {
             for (tenant, badge) in [(0, 0), (0, 1), (1, 0)] {
                 let record = sync_at(1, 8 + m / 60, m % 60, 0);
                 worker.advance(record.t_local());
-                worker.append_and_apply(WalEntry::Record {
+                worker.service.append(WalEntry::Record {
                     tenant: TenantId(tenant),
                     badge: BadgeId(badge),
                     record,
                 });
-                if worker.checkpoints > accepted.len() as u64 {
-                    for live in worker.live.values() {
+                if worker.service.stats().checkpoints > accepted.len() as u64 {
+                    for live in worker.service.state().live.values() {
                         for day in live.day.values() {
                             assert_eq!(day.tail.record_count(), 0, "tail left open");
                         }
                     }
-                    let (_, ckpt) = worker.vault.latest().expect("accepted");
-                    accepted.push(ckpt.clone());
+                    let (_, snap) = worker.service.vault().latest().expect("accepted");
+                    accepted.push(snap.clone());
                 }
             }
         }
         assert!(accepted.len() >= 4, "cadence ran: {}", accepted.len());
         for pair in accepted.windows(2) {
             let (first, second) = (&pair[0], &pair[1]);
-            assert!(second.cursor() > first.cursor());
+            assert!(second.cursor > first.cursor);
             // Tenants and badges only join as their first record arrives.
-            for (tenant, a) in &first.tenants {
+            for (tenant, a) in &first.state {
                 let (_, b) = second
-                    .tenants
+                    .state
                     .iter()
                     .find(|(t, _)| t == tenant)
                     .expect("a tenant stays in later checkpoints");

@@ -11,13 +11,15 @@
 //! * [`bus`] — the habitat-wide pub/sub fabric.
 //! * [`chaos`] — seeded, replayable fault injection (crashes, blackouts,
 //!   heartbeat loss, badge deaths) for reliability drills.
-//! * [`failover`] — heartbeat failure detection and primary/backup
-//!   replication of analysis units.
+//! * [`failover`] — heartbeat failure detection, the checkpoint vault, and
+//!   [`failover::Replicated`], the one repair protocol (detect, promote,
+//!   restore, replay, checkpoint) behind every replicated service.
 //! * [`earthlink`] — the 20-minute-delay link with blackout handling and the
 //!   day-12 delayed-command conflict detector.
 //! * [`ingest`] — the multi-tenant streaming front door: thread-per-shard
-//!   ingest with bounded queues, typed backpressure, per-shard WAL + vault
-//!   checkpoints, and byte-identical crash recovery.
+//!   ingest with bounded queues and typed backpressure; each shard is a
+//!   `Replicated` service whose log is its WAL, with byte-identical crash
+//!   recovery.
 //! * [`alerts`] — the rule engine (dehydration, passivity, conflict heat,
 //!   fatigue, wear compliance).
 //! * [`approval`] — the crew + mission-control change-approval protocol with
@@ -25,8 +27,9 @@
 //! * [`privacy`] — privacy zones, duty-cycle governance and the audit log.
 //! * [`resources`] — the resource ledger and the badge + smart-mug +
 //!   urine-processor fluid-balance integration.
-//! * [`runtime`] — the composed runtime driving all of the above from
-//!   streaming day analyses.
+//! * [`runtime`] — the sub-day chaos drill: a `Replicated` streaming
+//!   analyzer, a badge workload and the Earth link under a seeded fault plan,
+//!   scored per run and swept over fault intensities.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,14 +54,12 @@ pub mod prelude {
     pub use crate::bus::{Bus, Message, Subscription, Topic};
     pub use crate::chaos::{Fault, FaultPlan, FaultScheduler};
     pub use crate::earthlink::{Command, ConflictPolicy, Delivery, EarthLink, ONE_WAY_DELAY};
-    pub use crate::failover::{FailoverEvent, ReplicaId, ReplicatedService, Role};
+    pub use crate::failover::{FailoverEvent, ReplicaId, Replicated, ReplicatedService, Role};
     pub use crate::ingest::{
         BackpressurePolicy, IngestConfig, IngestRunReport, IngestServer, RecordKind,
         TelemetryRecord, TenantId,
     };
     pub use crate::privacy::{DutyLevel, PrivacyGovernor, SensorClass};
     pub use crate::resources::{FluidBalance, Resource, ResourceLedger};
-    pub use crate::runtime::{
-        ChaosConfig, ChaosMission, DayReport, ReliabilityReport, SupportRuntime,
-    };
+    pub use crate::runtime::{ChaosConfig, ChaosMission, ReliabilityReport};
 }

@@ -1,17 +1,13 @@
-//! The assembled mission-support runtime.
+//! The sub-day chaos drill of the mission-support tier.
 //!
-//! Wires the Section VI pieces into one unit that consumes streaming day
-//! analyses: alerts flow onto the bus, analysis services are health-checked,
-//! telemetry summaries go down the Earth link, and the paper's envisioned
-//! "uber-system \[that\] would collect all kinds of information and provide it
-//! to specialized system units" becomes a single driveable object.
+//! [`ChaosMission`] drives a replicated streaming analyzer, a workload of
+//! badge telemetry and the Earth link through a compiled [`FaultPlan`] and
+//! scores the run in a [`ReliabilityReport`]; [`chaos_sweep`] repeats the
+//! drill over rising fault intensities.
 
-use crate::alerts::{Alert, AlertEngine, AlertRules};
-use crate::bus::{Bus, Message, Topic};
 use crate::chaos::{FaultPlan, FaultScheduler};
 use crate::earthlink::{ConflictPolicy, EarthLink, TelemetryStatus};
-use crate::failover::{CheckpointVault, FailoverEvent, ReplicaId, ReplicatedService};
-use crate::privacy::PrivacyGovernor;
+use crate::failover::{ReplicaId, ReplicaState, Replicated};
 use ares_badge::records::{AudioFrame, BadgeId, BeaconScan, ImuSample, SyncSample};
 use ares_habitat::beacons::BeaconDeployment;
 use ares_habitat::floorplan::FloorPlan;
@@ -19,159 +15,8 @@ use ares_habitat::rooms::RoomId;
 use ares_simkit::rng::splitmix64;
 use ares_simkit::series::Interval;
 use ares_simkit::time::{SimDuration, SimTime};
-use ares_sociometrics::engine::EngineMetrics;
-use ares_sociometrics::pipeline::DayAnalysis;
 use ares_sociometrics::streaming::{AnalyzerCheckpoint, LiveEvent, StreamingAnalyzer};
-
-/// Summary of one day processed by the runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DayReport {
-    /// The mission day.
-    pub day: u32,
-    /// Alerts raised.
-    pub alerts: Vec<Alert>,
-    /// Failover events observed.
-    pub failovers: Vec<FailoverEvent>,
-    /// Whether the analysis tier stayed available.
-    pub available: bool,
-}
-
-/// The composed runtime.
-#[derive(Debug)]
-pub struct SupportRuntime {
-    bus: Bus,
-    engine: AlertEngine,
-    link: EarthLink,
-    analysis_tier: ReplicatedService,
-    governor: PrivacyGovernor,
-    /// Replicas simulated dead (failure injection), with recovery day.
-    injected_failures: Vec<(ReplicaId, u32, u32)>,
-}
-
-impl SupportRuntime {
-    /// Builds the canonical runtime: a 3-replica analysis tier, crew-wins
-    /// conflict policy, default alert rules and the ICAres-1 privacy policy.
-    #[must_use]
-    pub fn icares() -> Self {
-        SupportRuntime {
-            bus: Bus::new(),
-            engine: AlertEngine::new(AlertRules::default()),
-            link: EarthLink::new(ConflictPolicy::CrewWins),
-            analysis_tier: ReplicatedService::new(
-                "analysis-tier",
-                &[ReplicaId(0), ReplicaId(1), ReplicaId(2)],
-                SimDuration::from_hours(6),
-                SimTime::from_day_hms(2, 7, 0, 0),
-            ),
-            governor: PrivacyGovernor::icares(),
-            injected_failures: Vec::new(),
-        }
-    }
-
-    /// The message bus (subscribe before processing days).
-    #[must_use]
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// The Earth link (for uplinking commands in scenarios).
-    pub fn link_mut(&mut self) -> &mut EarthLink {
-        &mut self.link
-    }
-
-    /// The privacy governor.
-    pub fn governor_mut(&mut self) -> &mut PrivacyGovernor {
-        &mut self.governor
-    }
-
-    /// Injects a replica failure spanning mission days `from..=to`.
-    pub fn inject_failure(&mut self, replica: ReplicaId, from_day: u32, to_day: u32) {
-        self.injected_failures.push((replica, from_day, to_day));
-    }
-
-    /// Processes one day of pipeline output.
-    pub fn process_day(&mut self, day: &DayAnalysis) -> DayReport {
-        let noon = SimTime::from_day_hms(day.day, 12, 0, 0);
-        // Heartbeats from every replica not currently failure-injected.
-        for r in [ReplicaId(0), ReplicaId(1), ReplicaId(2)] {
-            let down = self
-                .injected_failures
-                .iter()
-                .any(|&(id, from, to)| id == r && (from..=to).contains(&day.day));
-            if !down {
-                self.analysis_tier.heartbeat(r, noon);
-            }
-        }
-        let failovers = self.analysis_tier.tick(noon);
-        for f in &failovers {
-            self.bus.publish(
-                Topic::Control,
-                Message {
-                    from: "analysis-tier".into(),
-                    payload: format!("{f:?}"),
-                },
-            );
-        }
-
-        // Alerts.
-        let alerts = self.engine.evaluate_day(day);
-        for a in &alerts {
-            self.bus.publish(
-                Topic::Alerts,
-                Message {
-                    from: a.rule.clone(),
-                    payload: a.detail.clone(),
-                },
-            );
-        }
-
-        // Daily telemetry summary to Earth (autonomy: the habitat decides
-        // locally; Earth gets digests, not the raw 150 GiB).
-        let summary = format!(
-            "day {}: {} meetings, {} passages, {} alerts, {} identity anomalies",
-            day.day,
-            day.meetings.len(),
-            day.passages.total(),
-            alerts.len(),
-            day.swaps.len()
-        );
-        let evening = SimTime::from_day_hms(day.day, 21, 0, 0);
-        self.link.downlink(evening, summary);
-        let _ = self.link.advance(evening + SimDuration::from_mins(25));
-
-        DayReport {
-            day: day.day,
-            alerts,
-            failovers,
-            available: self.analysis_tier.is_available(),
-        }
-    }
-
-    /// Publishes the mission engine's per-stage metrics on the control topic
-    /// — the habitat's own observability of its analysis workload ("fast as
-    /// the hardware allows" needs a gauge, not a guess).
-    pub fn publish_stage_metrics(&mut self, day: u32, metrics: &EngineMetrics) {
-        self.bus.publish(
-            Topic::Control,
-            Message {
-                from: "mission-engine".into(),
-                payload: format!("day {day} stage metrics\n{}", metrics.render()),
-            },
-        );
-    }
-
-    /// Total alerts raised over the runtime's life.
-    #[must_use]
-    pub fn alert_count(&self) -> usize {
-        self.engine.alerts().len()
-    }
-
-    /// Telemetry digests received on Earth so far.
-    #[must_use]
-    pub fn earth_digests(&self) -> usize {
-        self.link.received_on_earth().len()
-    }
-}
+use std::fmt::Write as _;
 
 /// Configuration of a sub-day chaos drill: tick/heartbeat/checkpoint
 /// cadence, fleet sizes and telemetry loss rate.
@@ -316,28 +161,51 @@ enum ChaosRecord {
     Sync(BadgeId, SyncSample),
 }
 
+/// The drill's replicated state: a streaming analyzer whose live events are
+/// the mission event stream.
+#[derive(Debug)]
+struct ChaosAnalyzer(StreamingAnalyzer);
+
+impl ReplicaState for ChaosAnalyzer {
+    type Entry = ChaosRecord;
+    type Checkpoint = AnalyzerCheckpoint;
+    type Output = LiveEvent;
+
+    fn apply(&mut self, rec: &ChaosRecord, out: &mut Vec<LiveEvent>) {
+        let analyzer = &mut self.0;
+        match rec {
+            ChaosRecord::Scan(b, s) => out.extend(analyzer.ingest_scan(*b, s)),
+            ChaosRecord::Audio(b, f) => out.extend(analyzer.ingest_audio(*b, f)),
+            ChaosRecord::Imu(b, s) => out.extend(analyzer.ingest_imu(*b, s)),
+            ChaosRecord::Sync(b, s) => analyzer.ingest_sync(*b, s),
+        }
+    }
+
+    fn checkpoint(&mut self, at: SimTime) -> AnalyzerCheckpoint {
+        self.0.checkpoint(at)
+    }
+
+    fn restore(&mut self, ckpt: &AnalyzerCheckpoint) {
+        self.0.restore(ckpt);
+    }
+}
+
 /// A chaos drill: the support tier driven at sub-day granularity under a
 /// compiled [`FaultPlan`], producing a [`ReliabilityReport`].
 ///
-/// The drill wires together the pieces the day-level runtime treats
-/// coarsely: heartbeats every tick, a [`CheckpointVault`] fed on a 15-minute
-/// schedule, a promoted backup that *restores the latest snapshot and
-/// replays the record log* (bounded, measured gap), and an Earth link whose
-/// blackouts, loss windows and random attempt loss come from the same plan.
-/// Everything is seeded; running the same plan twice yields byte-identical
-/// scorecards.
+/// The analysis tier is a [`Replicated`] streaming analyzer: heartbeats and
+/// the failure detector every tick, snapshots on the checkpoint cadence, and
+/// a promoted backup that restores the latest snapshot and replays the
+/// record log (bounded, measured gap). The Earth link's blackouts, loss
+/// windows and random attempt loss come from the same plan. Everything is
+/// seeded; running the same plan twice yields byte-identical scorecards.
 #[derive(Debug)]
 pub struct ChaosMission {
     config: ChaosConfig,
-    sched: FaultScheduler,
     plan_signature: String,
-    service: ReplicatedService,
-    vault: CheckpointVault<AnalyzerCheckpoint>,
-    analyzer: StreamingAnalyzer,
+    tier: Replicated<ChaosAnalyzer>,
     link: EarthLink,
     deployment: BeaconDeployment,
-    log: Vec<(SimTime, ChaosRecord)>,
-    events: Vec<LiveEvent>,
 }
 
 impl ChaosMission {
@@ -354,30 +222,28 @@ impl ChaosMission {
         }
         link.set_random_loss(config.telemetry_loss, splitmix64(plan.seed() ^ 0x7E1E_CA57));
         let replicas: Vec<ReplicaId> = (0..config.replicas).map(ReplicaId).collect();
-        let service = ReplicatedService::new(
+        let tier = Replicated::new(
             "analysis-tier",
             &replicas,
             config.heartbeat_deadline,
+            config.checkpoint_every,
             config.span.start,
+            sched,
+            ChaosAnalyzer(StreamingAnalyzer::icares()),
         );
         ChaosMission {
             config,
-            sched,
             plan_signature: plan.signature(),
-            service,
-            vault: CheckpointVault::new(),
-            analyzer: StreamingAnalyzer::icares(),
+            tier,
             link,
             deployment: BeaconDeployment::icares(&FloorPlan::lunares()),
-            log: Vec::new(),
-            events: Vec::new(),
         }
     }
 
     /// The deduplicated mission event stream (valid after [`Self::run`]).
     #[must_use]
     pub fn events(&self) -> &[LiveEvent] {
-        &self.events
+        self.tier.outputs()
     }
 
     /// Deterministic sensor workload for tick `index` at `t`: dead badges
@@ -389,13 +255,14 @@ impl ChaosMission {
             RoomId::Biolab,
             RoomId::Workshop,
         ];
+        let sched = self.tier.faults();
         let mut out = Vec::new();
         for b in 0..self.config.badges {
             let badge = BadgeId(b);
-            if !self.sched.badge_alive(badge, t) {
+            if !sched.badge_alive(badge, t) {
                 continue;
             }
-            if index.is_multiple_of(30) && self.sched.reference_available(t) {
+            if index.is_multiple_of(30) && sched.reference_available(t) {
                 out.push(ChaosRecord::Sync(
                     badge,
                     SyncSample {
@@ -444,88 +311,24 @@ impl ChaosMission {
         out
     }
 
-    fn ingest(analyzer: &mut StreamingAnalyzer, rec: &ChaosRecord) -> Vec<LiveEvent> {
-        match rec {
-            ChaosRecord::Scan(b, s) => analyzer.ingest_scan(*b, s),
-            ChaosRecord::Audio(b, f) => analyzer.ingest_audio(*b, f),
-            ChaosRecord::Imu(b, s) => analyzer.ingest_imu(*b, s),
-            ChaosRecord::Sync(b, s) => {
-                analyzer.ingest_sync(*b, s);
-                Vec::new()
-            }
-        }
-    }
-
     /// Runs the drill over the configured span and returns the scorecard.
-    #[allow(clippy::too_many_lines)]
     pub fn run(&mut self) -> ReliabilityReport {
         let cfg = self.config;
         let mut t = cfg.span.start;
         let mut index = 0u64;
-        let (mut ticks, mut available_ticks) = (0u64, 0u64);
-        let (mut failovers, mut outages) = (0u64, 0u64);
+        let (mut ticks, mut available_ticks, mut outages) = (0u64, 0u64, 0u64);
         let mut downtime = SimDuration::ZERO;
         let mut down_since: Option<SimTime> = None;
-        let mut next_checkpoint = cfg.span.start + cfg.checkpoint_every;
         let mut next_telemetry = cfg.span.start + cfg.telemetry_every;
-        let (mut checkpoints_replicated, mut checkpoints_dropped) = (0u64, 0u64);
-        let mut replays = 0u64;
-        let mut max_replay_gap = SimDuration::ZERO;
-        let mut records_fed = 0u64;
         while t < cfg.span.end {
-            // Heartbeats from replicas that are alive and not suppressed.
-            for r in 0..cfg.replicas {
-                let id = ReplicaId(r);
-                if self.sched.heartbeat_delivered(id, t) {
-                    self.service.heartbeat(id, t);
-                }
-            }
-            // Failure detection; a promotion rebuilds the analysis state
-            // from the last replicated snapshot plus the record log.
-            for ev in self.service.tick(t) {
-                if let FailoverEvent::Promoted(_) = ev {
-                    failovers += 1;
-                    let mut fresh = StreamingAnalyzer::icares();
-                    let mut since: Option<SimTime> = None;
-                    if let Some((at, ckpt)) = self.vault.latest() {
-                        fresh.restore(ckpt);
-                        since = Some(at);
-                        replays += 1;
-                        max_replay_gap = max_replay_gap.max(t - at);
-                    }
-                    // Events regenerated by the replay that the crashed
-                    // primary already emitted are duplicates: skip exactly
-                    // that many, keep the rest.
-                    let mut skip =
-                        (self.events.len() as u64).saturating_sub(fresh.events_emitted());
-                    for (rt, rec) in &self.log {
-                        if since.is_some_and(|s| *rt <= s) {
-                            continue;
-                        }
-                        for ev in Self::ingest(&mut fresh, rec) {
-                            if skip > 0 {
-                                skip -= 1;
-                            } else {
-                                self.events.push(ev);
-                            }
-                        }
-                    }
-                    self.analyzer = fresh;
-                }
-            }
-            // Workload: always logged (badges keep sensing), ingested only
-            // while an alive primary is serving.
-            let serving = self
-                .service
-                .primary()
-                .is_some_and(|p| self.sched.replica_alive(p, t));
+            // Heartbeats and failure detection; a promotion rebuilds the
+            // analyzer from the last replicated snapshot plus the record log.
+            self.tier.advance(t);
+            // Workload: always logged (badges keep sensing), applied while an
+            // alive primary serves.
+            let serving = self.tier.serving();
             for rec in self.workload_at(t, index) {
-                records_fed += 1;
-                if serving {
-                    let evs = Self::ingest(&mut self.analyzer, &rec);
-                    self.events.extend(evs);
-                }
-                self.log.push((t, rec));
+                self.tier.append(rec);
             }
             // Availability bookkeeping.
             ticks += 1;
@@ -538,24 +341,15 @@ impl ChaosMission {
                 down_since = Some(t);
                 outages += 1;
             }
-            // Checkpoint replication (skipped while the bus is down — the
-            // vault keeps the older snapshot and the log keeps the records).
-            if t >= next_checkpoint {
-                next_checkpoint += cfg.checkpoint_every;
-                if serving {
-                    if self.sched.bus_drop_active(t) {
-                        checkpoints_dropped += 1;
-                    } else {
-                        self.vault.offer(t, self.analyzer.checkpoint(t));
-                        checkpoints_replicated += 1;
-                        self.log.retain(|(rt, _)| *rt > t);
-                    }
-                }
-            }
             // Hourly telemetry digest over the reliable link.
             if t >= next_telemetry {
                 next_telemetry += cfg.telemetry_every;
-                let digest = format!("{} records={} events={}", t, records_fed, self.events.len());
+                let digest = format!(
+                    "{} records={} events={}",
+                    t,
+                    self.tier.appended(),
+                    self.tier.outputs().len()
+                );
                 let _ = self.link.send_telemetry(t, digest);
             }
             let _ = self.link.advance(t);
@@ -581,154 +375,62 @@ impl ChaosMission {
         } else {
             SimDuration::ZERO
         };
+        let stats = self.tier.stats();
         ReliabilityReport {
             plan_signature: self.plan_signature.clone(),
             span: cfg.span,
             tick: cfg.tick,
             ticks,
             available_ticks,
-            failovers,
+            failovers: stats.failovers,
             outages,
             downtime,
             mttr,
             telemetry,
-            checkpoints_replicated,
-            checkpoints_dropped,
-            replays,
-            max_replay_gap,
-            records_fed,
-            events: self.events.len() as u64,
+            checkpoints_replicated: stats.checkpoints,
+            checkpoints_dropped: stats.checkpoints_dropped,
+            replays: stats.replays,
+            max_replay_gap: stats.max_replay_gap,
+            records_fed: self.tier.appended(),
+            events: self.tier.outputs().len() as u64,
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ares_sociometrics::occupancy::PassageMatrix;
+/// Seed of the committed sweep artifact, `artifacts/chaos_scorecards.md`.
+pub const CHAOS_SWEEP_SEED: u64 = 0x1CA7E5;
 
-    fn empty_day(day: u32) -> DayAnalysis {
-        DayAnalysis {
-            day,
-            badges: Vec::new(),
-            carrier_of: [None; 6],
-            meetings: Vec::new(),
-            passages: PassageMatrix::new(),
-            daily: [None; 6],
-            swaps: Vec::new(),
-            private_pairs: Vec::new(),
-            climate_sums: [(0.0, 0); 10],
-            reference_env: Vec::new(),
-        }
-    }
+/// Mission day every sweep drill covers.
+const SWEEP_DAY: u32 = 5;
 
-    #[test]
-    fn chaos_drill_survives_primary_crash_with_bounded_replay() {
-        use crate::chaos::Fault;
-        let crash = SimTime::from_day_hms(5, 12, 0, 0);
-        let plan = FaultPlan::new(42).with(Fault::ReplicaCrash {
-            replica: ReplicaId(0),
-            at: crash,
-            recover_at: None,
-        });
-        let mut mission = ChaosMission::new(ChaosConfig::icares_day(5), &plan);
-        let report = mission.run();
-        assert_eq!(report.failovers, 1, "{}", report.render());
-        assert_eq!(report.outages, 1);
-        assert!(report.availability_pct() > 99.0, "{}", report.render());
-        assert!(report.replays >= 1, "promotion restored a snapshot");
-        // Gap bounded by checkpoint cadence + detection deadline + a tick.
-        assert!(
-            report.max_replay_gap <= SimDuration::from_mins(15 + 5 + 2),
-            "gap {:?}",
-            report.max_replay_gap
+/// The chaos sweep (EXPERIMENTS.md row ROBUST-2): one drill of mission day 5
+/// per fault intensity 0, 0.25, 0.5, 0.75 and 1, each under
+/// [`FaultPlan::sweep`] with random telemetry loss of 0.3 × intensity.
+/// Deterministic: the same seed gives the same reports.
+#[must_use]
+pub fn chaos_sweep(seed: u64) -> Vec<(f64, ReliabilityReport)> {
+    [0.0, 0.25, 0.5, 0.75, 1.0]
+        .into_iter()
+        .map(|intensity| {
+            let mut cfg = ChaosConfig::icares_day(SWEEP_DAY);
+            cfg.telemetry_loss = 0.3 * intensity;
+            let plan = FaultPlan::sweep(seed, intensity, cfg.span);
+            (intensity, ChaosMission::new(cfg, &plan).run())
+        })
+        .collect()
+}
+
+/// Renders a [`chaos_sweep`] as the markdown scorecard artifact.
+#[must_use]
+pub fn render_chaos_sweep(seed: u64, sweep: &[(f64, ReliabilityReport)]) -> String {
+    let mut artifact =
+        format!("# chaos sweep — seed {seed:#x}, mission day {SWEEP_DAY}, 2-min ticks\n\n");
+    for (intensity, report) in sweep {
+        let _ = writeln!(
+            artifact,
+            "## intensity {intensity:.2}\n\n{}",
+            report.render()
         );
-        assert_eq!(report.telemetry.pending, 0);
-        assert_eq!(report.telemetry.sent, report.telemetry.delivered);
     }
-
-    #[test]
-    fn chaos_scorecard_is_byte_identical_across_runs() {
-        let plan = FaultPlan::sweep(
-            0xA11CE,
-            0.8,
-            Interval::new(
-                SimTime::from_day_hms(6, 0, 0, 0),
-                SimTime::from_day_hms(7, 0, 0, 0),
-            ),
-        );
-        let mut cfg = ChaosConfig::icares_day(6);
-        cfg.telemetry_loss = 0.2;
-        let a = ChaosMission::new(cfg, &plan).run();
-        let b = ChaosMission::new(cfg, &plan).run();
-        assert_eq!(a, b);
-        assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn runtime_stays_available_through_injected_failures() {
-        let mut rt = SupportRuntime::icares();
-        rt.inject_failure(ReplicaId(0), 5, 7);
-        rt.inject_failure(ReplicaId(1), 6, 6);
-        let mut reports = Vec::new();
-        for day in 2..=14 {
-            reports.push(rt.process_day(&empty_day(day)));
-        }
-        assert!(reports.iter().all(|r| r.available), "tier must survive");
-        // The failover happened and was published.
-        let failed_days: Vec<u32> = reports
-            .iter()
-            .filter(|r| !r.failovers.is_empty())
-            .map(|r| r.day)
-            .collect();
-        assert!(failed_days.contains(&5), "day-5 failure detected");
-        assert!(rt.bus().published_count(Topic::Control) > 0);
-    }
-
-    #[test]
-    fn stage_metrics_land_on_the_control_topic() {
-        use ares_sociometrics::engine::Stage;
-        let mut rt = SupportRuntime::icares();
-        let feed = rt.bus().subscribe(Topic::Control);
-        let mut metrics = EngineMetrics::new();
-        metrics.record(Stage::Localize, 50_400, 48_000, 1.25);
-        rt.publish_stage_metrics(3, &metrics);
-        let msgs = feed.drain();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].from, "mission-engine");
-        assert!(msgs[0].payload.contains("day 3"));
-        assert!(msgs[0].payload.contains("localize"));
-    }
-
-    #[test]
-    fn daily_digests_reach_earth() {
-        let mut rt = SupportRuntime::icares();
-        for day in 2..=4 {
-            rt.process_day(&empty_day(day));
-        }
-        // Each day's digest is delivered on the next advance; at least the
-        // first two days have certainly landed.
-        assert!(rt.earth_digests() >= 2, "{} digests", rt.earth_digests());
-    }
-
-    #[test]
-    fn bus_subscribers_see_alerts() {
-        let mut rt = SupportRuntime::icares();
-        let feed = rt.bus().subscribe(Topic::Alerts);
-        // A day with a daily row triggering wear compliance.
-        let mut day = empty_day(3);
-        day.daily[0] = Some(ares_sociometrics::pipeline::AstronautDaily {
-            walking_fraction: 0.02,
-            heard_fraction: 0.3,
-            worn_fraction: 0.2,
-            active_fraction: 0.8,
-            self_talk_h: 0.5,
-            worn_h: 3.0,
-            walking_h: 0.1,
-            mean_accel_var: 0.04,
-        });
-        let report = rt.process_day(&day);
-        assert!(!report.alerts.is_empty());
-        assert_eq!(feed.drain().len(), report.alerts.len());
-    }
+    artifact
 }

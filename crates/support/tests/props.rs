@@ -3,8 +3,6 @@
 use ares_simkit::series::Interval;
 use ares_simkit::time::{SimDuration, SimTime};
 use ares_support::earthlink::{Command, ConflictPolicy, Delivery, EarthLink, ONE_WAY_DELAY};
-#[allow(unused_imports)]
-use ares_support::failover::Role as _RoleCheck;
 use ares_support::failover::{CheckpointVault, FailoverEvent, ReplicaId, ReplicatedService, Role};
 use ares_support::privacy::{DutyLevel, PrivacyGovernor, SensorClass};
 use proptest::prelude::*;

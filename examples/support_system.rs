@@ -1,7 +1,7 @@
-//! The Section VI mission-support system, live: streaming alerts, replicated
-//! analysis units with failover, the 20-minute Earth link with the day-12
-//! command conflict, a change-approval round, and the fluid-balance
-//! integration.
+//! The Section VI mission-support system, live: streaming alerts, the
+//! 20-minute Earth link with the day-12 command conflict, a replicated
+//! analysis tier surviving a primary crash, a change-approval round, and the
+//! fluid-balance integration.
 //!
 //! ```sh
 //! cargo run --release --example support_system
@@ -9,7 +9,7 @@
 
 use ares::crew::roster::AstronautId;
 use ares::icares::MissionRunner;
-use ares::simkit::time::{SimDuration, SimTime};
+use ares::simkit::time::SimTime;
 use ares::support::prelude::*;
 
 fn main() {
@@ -18,30 +18,9 @@ fn main() {
     let alert_feed = bus.subscribe(Topic::Alerts);
     let mut engine = AlertEngine::new(AlertRules::default());
     let mut link = EarthLink::new(ConflictPolicy::CrewWins);
-    let mut localization_service = ReplicatedService::new(
-        "localization-unit",
-        &[ReplicaId(0), ReplicaId(1)],
-        SimDuration::from_mins(2),
-        SimTime::from_day_hms(2, 7, 0, 0),
-    );
 
-    println!("streaming mission days through the support runtime…\n");
+    println!("streaming mission days through the support system…\n");
     let _ = runner.run_days(2, 14, |day| {
-        let day_noon = SimTime::from_day_hms(day.day, 12, 0, 0);
-
-        // Replication: the primary analysis unit dies on day 9 (injected);
-        // its backup takes over without losing the day.
-        if day.day == 9 {
-            localization_service.heartbeat(ReplicaId(1), day_noon);
-        } else {
-            localization_service.heartbeat(ReplicaId(0), day_noon);
-            localization_service.heartbeat(ReplicaId(1), day_noon);
-        }
-        for event in localization_service.tick(day_noon) {
-            println!("day {:>2}  FAILOVER  {event:?}", day.day);
-        }
-        assert!(localization_service.is_available(), "service must survive");
-
         // Alerts from the day's analysis, published on the bus.
         for alert in engine.evaluate_day(day) {
             bus.publish(
@@ -89,6 +68,22 @@ fn main() {
     for a in alerts.iter().take(10) {
         println!("  {}", a.payload);
     }
+
+    // Replication: the analysis tier's primary dies at noon on day 9; the
+    // failure detector promotes a backup, which restores the last replicated
+    // snapshot and replays the record log without losing the day.
+    println!("\n=== analysis tier: primary killed at noon on day 9 ===");
+    let noon = SimTime::from_day_hms(9, 12, 0, 0);
+    let plan = FaultPlan::new(9).with(Fault::ReplicaCrash {
+        replica: ReplicaId(0),
+        at: noon,
+        recover_at: None,
+    });
+    let mut drill = ChaosMission::new(ChaosConfig::icares_day(9), &plan);
+    let report = drill.run();
+    print!("{}", report.render());
+    assert_eq!(report.failovers, 1, "the backup took over");
+    assert!(report.availability_pct() >= 99.0, "the tier must survive");
 
     // A change-approval round: the crew asks to intensify mic sampling after
     // the reprimand; mission control approves 40+ minutes later.

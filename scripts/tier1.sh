@@ -30,6 +30,11 @@ echo "== tier1: rustdoc (warnings are errors) =="
 # Catches doc links left dangling when an item is deleted or made private.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
+echo "== tier1: support example (replicated tier survives a noon kill) =="
+# Runs the Section VI example end to end, so its chaos drill and asserts
+# execute rather than only compile.
+cargo run --release -q --example support_system
+
 echo "== tier1: bench smoke (per-stage timings -> BENCH_pipeline.json) =="
 # bench_smoke writes the artifact fresh; the soaks below splice into it, so
 # order matters: smoke first, then ingest, then fleet, then the guard.

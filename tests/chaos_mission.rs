@@ -8,7 +8,9 @@ use ares::simkit::series::Interval;
 use ares::simkit::time::{SimDuration, SimTime};
 use ares::support::chaos::{Fault, FaultPlan};
 use ares::support::failover::ReplicaId;
-use ares::support::runtime::{ChaosConfig, ChaosMission};
+use ares::support::runtime::{
+    chaos_sweep, render_chaos_sweep, ChaosConfig, ChaosMission, CHAOS_SWEEP_SEED,
+};
 
 const DAY: u32 = 5;
 const SEED: u64 = 0x5EED;
@@ -34,8 +36,10 @@ fn primary_crash_and_blackout_leave_mission_intact() {
     let mut mission = ChaosMission::new(cfg, &crash_and_blackout_plan());
     let report = mission.run();
 
-    // The tier failed over exactly once and stayed ≥99% available.
+    // The tier failed over exactly once, in one outage, and stayed ≥99%
+    // available.
     assert_eq!(report.failovers, 1, "{}", report.render());
+    assert_eq!(report.outages, 1, "{}", report.render());
     assert!(
         report.availability_pct() >= 99.0,
         "availability {:.3}%\n{}",
@@ -82,4 +86,35 @@ fn same_seed_and_plan_give_byte_identical_scorecards() {
     let second = ChaosMission::new(cfg, &plan).run();
     assert_eq!(first, second, "chaos drills must be replayable");
     assert_eq!(first.render().into_bytes(), second.render().into_bytes());
+}
+
+/// A primary that crashes and reboots inside the 5-minute heartbeat deadline
+/// is never demoted; the records logged while it was down must still reach
+/// the analyzer once it serves again.
+#[test]
+fn sub_deadline_primary_crash_loses_no_event() {
+    let cfg = ChaosConfig::icares_day(DAY);
+    let noon = SimTime::from_day_hms(DAY, 12, 0, 0);
+    let plan = FaultPlan::new(SEED).with(Fault::ReplicaCrash {
+        replica: ReplicaId(0),
+        at: noon,
+        recover_at: Some(noon + SimDuration::from_mins(3)),
+    });
+    let mut mission = ChaosMission::new(cfg, &plan);
+    let report = mission.run();
+    assert_eq!(report.failovers, 0, "{}", report.render());
+    let mut undisturbed = ChaosMission::new(cfg, &FaultPlan::new(SEED));
+    undisturbed.run();
+    assert_eq!(mission.events(), undisturbed.events());
+}
+
+/// The committed sweep artifact is exactly what the default seed renders.
+#[test]
+fn committed_chaos_sweep_matches_the_default_seed() {
+    let sweep = chaos_sweep(CHAOS_SWEEP_SEED);
+    assert_eq!(
+        render_chaos_sweep(CHAOS_SWEEP_SEED, &sweep),
+        include_str!("../artifacts/chaos_scorecards.md"),
+        "rerun `cargo run --release -p ares-bench --bin chaos` and commit the artifact"
+    );
 }

@@ -267,19 +267,27 @@ proptest! {
     /// Kill the shard's primary at a random instant of the two-day feed —
     /// before, across or after the first day end — optionally under a bus
     /// outage that drops checkpoints, so the backup restores an older vault
-    /// snapshot and replays a longer WAL. Every tenant's final analysis must
-    /// match the unfaulted run byte for byte.
+    /// snapshot and replays a longer WAL. With a reboot delay the primary
+    /// comes back: under the 5-minute heartbeat deadline it is never demoted
+    /// and must apply what was logged while it was down. Every tenant's final
+    /// analysis must match the unfaulted run byte for byte.
     #[test]
     fn shard_recovers_byte_identical_at_any_crash_time(
         crash_min in 0i64..2_400,
         outage in prop::option::of((0i64..2_400, 1i64..720)),
+        // Under the deadline (30 s – 5 min) or over it (5 min – 2 h).
+        reboot_s in prop::option::of(
+            (prop::bool::ANY, 30i64..300, 300i64..7_200)
+                .prop_map(|(short, under, over)| if short { under } else { over }),
+        ),
     ) {
         let (ctx, baseline) = synthetic_baseline();
         let origin = SimTime::from_day_hms(SYNTH_DAYS[0], 6, 0, 0);
+        let at = origin + SimDuration::from_mins(crash_min);
         let mut plan = FaultPlan::new(11).with(Fault::ReplicaCrash {
             replica: ReplicaId(0), // the one shard's initial primary
-            at: origin + SimDuration::from_mins(crash_min),
-            recover_at: None,
+            at,
+            recover_at: reboot_s.map(|s| at + SimDuration::from_secs(s)),
         });
         if let Some((from, len)) = outage {
             let from = origin + SimDuration::from_mins(from);
@@ -288,7 +296,9 @@ proptest! {
             });
         }
         let faulted = drive_synthetic(ctx, &plan);
-        prop_assert_eq!(faulted.shards[0].failovers, 1, "the crash was survived");
+        if reboot_s.is_none() {
+            prop_assert_eq!(faulted.shards[0].failovers, 1, "the crash was survived");
+        }
         for tenant in [TenantId(0), TenantId(1)] {
             let base = baseline.tenant(tenant).expect("baseline tenant");
             let fault = faulted.tenant(tenant).expect("faulted tenant");
@@ -297,9 +307,10 @@ proptest! {
             prop_assert_eq!(
                 rendered(&base.analysis),
                 rendered(&fault.analysis),
-                "tenant {:?} diverged: crash at +{} min, outage {:?}",
+                "tenant {:?} diverged: crash at +{} min, reboot {:?} s, outage {:?}",
                 tenant,
                 crash_min,
+                reboot_s,
                 outage
             );
         }
