@@ -1,23 +1,27 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out.
+//! Ablation tables for the design choices DESIGN.md calls out.
 //!
-//! These measure *quality* (error, misclassification) rather than only
-//! speed; Criterion reports the runtime cost of each variant while the
-//! printed summaries record the accuracy trade-off.
+//! These measure *quality* (error, misclassification), not speed: each
+//! section prints one `[ablation]` table from a fixed seed. The three
+//! day-3 sections share one recording and its analysis.
+//!
+//! Run with `cargo run --release -p ares-bench --bin ablations`.
 
 use ares_badge::scanner;
+use ares_badge::telemetry::TelemetryStore;
 use ares_badge::world::World;
 use ares_habitat::beacons::BeaconDeployment;
 use ares_habitat::rooms::RoomId;
+use ares_icares::MissionRunner;
 use ares_simkit::rng::SeedTree;
 use ares_simkit::time::SimTime;
 use ares_sociometrics::localization::{
     classify_room, estimate_position, merge_scans, LocalizationParams,
 };
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ares_sociometrics::pipeline::DayAnalysis;
 
 /// Localization ablation: Gauss–Newton refinement vs plain weighted
 /// centroid, with and without RSSI smoothing.
-fn ablation_localization(c: &mut Criterion) {
+fn ablation_localization() {
     let world = World::icares();
     let truth =
         world.plan.room_center(RoomId::Workshop) + ares_simkit::geometry::Vec2::new(1.3, 1.1);
@@ -62,19 +66,11 @@ fn ablation_localization(c: &mut Criterion) {
         "  GN+prior, smoothed RSSI:  {:.3}  <- production path",
         eval(&refined, true)
     );
-
-    let mut g = c.benchmark_group("ablation-localization");
-    g.sample_size(10);
-    g.bench_function("centroid", |b| b.iter(|| black_box(eval(&coarse, true))));
-    g.bench_function("gauss-newton+prior", |b| {
-        b.iter(|| black_box(eval(&refined, true)))
-    });
-    g.finish();
 }
 
 /// Beacon-density ablation: room-classification accuracy at 3/2/1 beacons
 /// per room.
-fn ablation_beacon_density(c: &mut Criterion) {
+fn ablation_beacon_density() {
     let plan = ares_habitat::floorplan::FloorPlan::lunares();
     let full = BeaconDeployment::icares(&plan);
     println!("\n[ablation] room accuracy & fix rate vs beacon density:");
@@ -105,31 +101,13 @@ fn ablation_beacon_density(c: &mut Criterion) {
             f64::from(empty) / f64::from(total) * 100.0
         );
     }
-    let mut g = c.benchmark_group("ablation-beacon-density");
-    for per_room in [3usize, 1] {
-        let dep = full.thinned(per_room);
-        let world = World::icares().with_beacons(dep);
-        let pos = plan.room_center(RoomId::Office);
-        g.bench_function(&format!("scan @{per_room}/room"), |b| {
-            let mut rng = SeedTree::new(13).stream("abl-dens-b");
-            let mut t = 0i64;
-            b.iter(|| {
-                t += 1;
-                black_box(scanner::scan(&world, pos, SimTime::from_secs(t), &mut rng))
-            });
-        });
-    }
-    g.finish();
 }
 
 /// Speech-threshold ablation: how the paper's 60 dB / 20 % rule behaves when
 /// moved (the "boundary values were determined experimentally" sweep).
-fn ablation_speech_thresholds(c: &mut Criterion) {
-    use ares_icares::MissionRunner;
+fn ablation_speech_thresholds(stores: &[TelemetryStore]) {
     use ares_sociometrics::speech::{analyze_view, heard_fraction, SpeechParams};
     use ares_sociometrics::sync::SyncCorrection;
-    let runner = MissionRunner::icares();
-    let stores = runner.record_day_stores(3);
     let audio = stores[2].audio.view();
     let corr = SyncCorrection::fit_view(stores[2].sync.view());
     let from = SimTime::from_day_hms(3, 7, 0, 0);
@@ -150,21 +128,12 @@ fn ablation_speech_thresholds(c: &mut Criterion) {
             );
         }
     }
-    let mut g = c.benchmark_group("ablation-speech");
-    g.sample_size(10);
-    g.bench_function("analyze day @60dB/20%", |b| {
-        b.iter(|| black_box(analyze_view(audio, &corr, &SpeechParams::default())));
-    });
-    g.finish();
 }
 
 /// The 10-second dwell filter ablation: passage counts with and without it.
-fn ablation_dwell_filter(c: &mut Criterion) {
-    use ares_icares::MissionRunner;
+fn ablation_dwell_filter(analysis: &DayAnalysis) {
     use ares_simkit::time::SimDuration;
-    use ares_sociometrics::occupancy::{segment_stays, PassageMatrix};
-    let runner = MissionRunner::icares();
-    let (_, analysis) = runner.run_day(3);
+    use ares_sociometrics::occupancy::PassageMatrix;
     println!("\n[ablation] day-3 passages with vs without the 10-s dwell filter:");
     let mut with = PassageMatrix::new();
     let mut without = PassageMatrix::new();
@@ -202,22 +171,13 @@ fn ablation_dwell_filter(c: &mut Criterion) {
         without.total(),
         f64::from(without.total()) / f64::from(with.total().max(1))
     );
-    let mut g = c.benchmark_group("ablation-dwell");
-    g.sample_size(10);
-    let track = analysis.badges[0].track.clone();
-    g.bench_function("segment stays (production)", |b| {
-        b.iter(|| black_box(segment_stays(&track, SimDuration::from_secs(5))));
-    });
-    g.finish();
 }
 
 /// Modality ablation: co-presence hours from beacon localization vs the
 /// independent 868 MHz proximity radio.
-fn ablation_proximity_vs_localization(c: &mut Criterion) {
-    use ares_icares::MissionRunner;
+fn ablation_proximity_vs_localization(stores: &[TelemetryStore], analysis: &DayAnalysis) {
+    use ares_crew::roster::AstronautId as Id;
     use ares_sociometrics::proximity::{ColocationIndex, ProximityParams};
-    let runner = MissionRunner::icares();
-    let (stores, analysis) = runner.run_day(3);
     let badges: Vec<_> = stores
         .iter()
         .filter_map(|store| {
@@ -230,7 +190,6 @@ fn ablation_proximity_vs_localization(c: &mut Criterion) {
         .collect();
     let index = ColocationIndex::build(&badges, &ProximityParams::default());
     println!("\n[ablation] day-3 pairwise co-presence, two modalities (hours):");
-    use ares_crew::roster::AstronautId as Id;
     for (x, y) in [(Id::A, Id::F), (Id::D, Id::E), (Id::B, Id::D)] {
         let bx = analysis.carrier_of[x.index()].map(|i| analysis.badges[i].badge);
         let by = analysis.carrier_of[y.index()].map(|i| analysis.badges[i].badge);
@@ -246,20 +205,13 @@ fn ablation_proximity_vs_localization(c: &mut Criterion) {
             .sum();
         println!("  {x}-{y}: localization {loc:.2} h, proximity {prox:.2} h");
     }
-    let mut g = c.benchmark_group("ablation-modalities");
-    g.sample_size(10);
-    g.bench_function("build colocation index (full day)", |b| {
-        b.iter(|| black_box(ColocationIndex::build(&badges, &ProximityParams::default())));
-    });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_localization,
-    ablation_beacon_density,
-    ablation_speech_thresholds,
-    ablation_dwell_filter,
-    ablation_proximity_vs_localization
-);
-criterion_main!(benches);
+fn main() {
+    ablation_localization();
+    ablation_beacon_density();
+    let (stores, analysis) = MissionRunner::icares().run_day(3);
+    ablation_speech_thresholds(&stores);
+    ablation_dwell_filter(&analysis);
+    ablation_proximity_vs_localization(&stores, &analysis);
+}

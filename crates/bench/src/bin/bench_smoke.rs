@@ -11,10 +11,10 @@
 //! to `BENCH_pipeline.json` (or the path given as the first argument), and
 //! one compact line per run is appended to `artifacts/bench_history.jsonl`
 //! beside that path, so regressions are visible across runs, not just
-//! against the last committed artifact. `scripts/tier1.sh` runs this as its final step so
-//! every green build leaves a timing artifact behind — and then greps the
-//! artifact to fail the build on a lost determinism bit, a non-finite
-//! metric, or a kernel throughput regression.
+//! against the last committed artifact. `scripts/tier1.sh` runs this before
+//! the soaks, so every green build leaves a timing artifact behind, and
+//! then runs `bench_guard`, which fails the build on a lost determinism
+//! bit, a non-finite metric, or a throughput regression.
 //!
 //! On a single-core host neither the parallel engine run nor the parallel
 //! recording fan-out can demonstrate a wall-clock speedup, but both are
@@ -25,14 +25,14 @@
 //! either way — the numbers always come from two timed runs whose outputs
 //! were checked bit-identical.
 //!
-//! Recording-plane metrics are additionally spliced into the artifact as a
-//! top-level `"record"` block (via the same brace-aware member splice the
-//! soak bins use), where `bench_guard` enforces the `days_per_s` floor. The
-//! sequential recording is timed five times after the warm-up and the
-//! median is reported, with the fastest and slowest run beside it: one
+//! Recording-plane metrics live only in the artifact's top-level `"record"`
+//! block (spliced through the same brace-aware member splice the soak bins
+//! use), where `bench_guard` checks the `deterministic` bit, a positive
+//! `wall_s` and the `days_per_s` floor. The sequential recording is timed
+//! five times after the warm-up and the median is reported, with the fastest and slowest run beside it: one
 //! timed day varies by half its value between runs on a shared host.
 //!
-//! Throughput is reported on two planes: `mission_days_per_s` is the
+//! Throughput is reported on two planes: `analyze_days_per_s` is the
 //! *analysis* rate (one recorded day through the seven-stage engine,
 //! sequentially — the figure the batched kernels move), and
 //! `e2e_days_per_s` folds in the simulation front end that produced the
@@ -171,7 +171,7 @@ fn main() {
 
     // Analysis-plane throughput: one recorded mission day through the staged
     // engine, sequentially. End-to-end folds in the recording front end.
-    let mission_days_per_s = if seq_wall_s > 0.0 {
+    let analyze_days_per_s = if seq_wall_s > 0.0 {
         1.0 / seq_wall_s
     } else {
         0.0
@@ -185,26 +185,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"day\": {DAY},");
     let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"record_wall_s\": {record_wall_s:.6},");
-    let _ = writeln!(json, "  \"record_workers\": {record_workers},");
-    let _ = writeln!(
-        json,
-        "  \"record_parallel_wall_s\": {record_parallel_wall_s:.6},"
-    );
-    let _ = writeln!(json, "  \"record_exact_wall_s\": {record_exact_wall_s:.6},");
-    let _ = writeln!(
-        json,
-        "  \"record_speedup_cache\": {record_speedup_cache:.4},"
-    );
-    let _ = writeln!(json, "  \"record_speedup\": {record_speedup:.4},");
-    let _ = writeln!(
-        json,
-        "  \"record_speedup_measured\": {record_speedup_measured},"
-    );
-    let _ = writeln!(json, "  \"record_interleaved\": {record_interleaved},");
-    let _ = writeln!(json, "  \"record_days_per_s\": {record_days_per_s:.6},");
-    let _ = writeln!(json, "  \"record_deterministic\": {record_deterministic},");
-    let _ = writeln!(json, "  \"mission_days_per_s\": {mission_days_per_s:.6},");
+    let _ = writeln!(json, "  \"analyze_days_per_s\": {analyze_days_per_s:.6},");
     let _ = writeln!(json, "  \"e2e_days_per_s\": {e2e_days_per_s:.6},");
     let _ = writeln!(json, "  \"sequential_wall_s\": {seq_wall_s:.6},");
     let _ = writeln!(json, "  \"parallel_wall_s\": {par_wall_s:.6},");
@@ -233,7 +214,7 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write bench artifact");
 
-    // The recording plane also gets its own top-level block, spliced through
+    // The recording plane gets its own top-level block, spliced through
     // the shared brace-aware helper like every soak bin's member — so later
     // writers (ingest, fleet, scenario) and re-runs of this bin compose
     // without clobbering each other, and `bench_guard` reads one place.
@@ -278,7 +259,7 @@ fn main() {
     );
     let _ = write!(
         line,
-        ", \"mission_days_per_s\": {mission_days_per_s:.6}, \
+        ", \"analyze_days_per_s\": {analyze_days_per_s:.6}, \
          \"e2e_days_per_s\": {e2e_days_per_s:.6}"
     );
     for stage in Stage::ALL {
@@ -317,7 +298,7 @@ fn main() {
         }
     );
     println!(
-        "throughput: {mission_days_per_s:.3} mission day(s)/s analyzed, \
+        "throughput: {analyze_days_per_s:.3} mission day(s)/s analyzed, \
          {e2e_days_per_s:.3} day(s)/s end to end"
     );
     println!(

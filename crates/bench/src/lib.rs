@@ -1,5 +1,5 @@
-//! `ares-bench` — Criterion benchmarks, the paper reproduction and the
-//! tier-1 soaks.
+//! `ares-bench` — the paper reproduction, the ablation tables and the
+//! tier-1 smoke benchmark and soaks.
 //!
 //! Binaries:
 //!
@@ -8,14 +8,12 @@
 //! | `full_repro` | Fig. 2–6, Table I, the prose statistics, the survey cross-check and the EXPERIMENTS.md claim table; writes `artifacts/` |
 //! | `seeds` | the structural claims re-checked across reseeded missions |
 //! | `chaos` | the fault-injection reliability sweep |
+//! | `ablations` | the design-choice accuracy tables EXPERIMENTS.md cites |
 //! | `bench_smoke` | recording and per-stage engine timings → `BENCH_pipeline.json` |
 //! | `ingest_soak` | the sharded ingest service and its kill-a-shard drill |
 //! | `fleet_soak` | hundreds of habitat variants behind the sharded scheduler |
 //! | `scenario_soak` | generated scenarios through the full slice |
 //! | `bench_guard` | every tier-1 floor over `BENCH_pipeline.json` |
-//!
-//! Benches: `kernel` (simkit/habitat micro-benchmarks), `pipeline`
-//! (pipeline-stage throughput), `ablations` (design-choice comparisons).
 
 use ares_icares::MissionRunner;
 use ares_sociometrics::pipeline::{DayAnalysis, MissionAnalysis};

@@ -776,15 +776,6 @@ impl MissionEngine {
         self.metrics.lock().expect("metrics lock").clone()
     }
 
-    /// Clears the accumulated metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the metrics lock.
-    pub fn reset_metrics(&self) {
-        *self.metrics.lock().expect("metrics lock") = EngineMetrics::new();
-    }
-
     fn merge_metrics(&self, local: &EngineMetrics) {
         self.metrics.lock().expect("metrics lock").merge(local);
     }

@@ -933,28 +933,6 @@ impl Heatmap {
             0.0
         }
     }
-
-    /// Mean distance of dwell mass from a point (used to quantify astronaut
-    /// A's stay-in-the-middle signature).
-    #[must_use]
-    pub fn mean_distance_from(&self, p: Point2) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for iy in 0..self.grid.ny() {
-            for ix in 0..self.grid.nx() {
-                let s = self.cell_seconds(ix, iy);
-                if s > 0.0 {
-                    num += s * self.grid.cell_center(ix, iy).distance(p);
-                    den += s;
-                }
-            }
-        }
-        if den > 0.0 {
-            num / den
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]

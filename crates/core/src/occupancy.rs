@@ -263,36 +263,6 @@ pub fn median_daily_room_hours(stays_per_day: &[Vec<Stay>], room: RoomId, min_ho
     ares_simkit::stats::median(&totals)
 }
 
-/// Median session duration per room in hours, over sessions of at least
-/// `min_hours`.
-#[must_use]
-pub fn median_session_hours(
-    stays_per_day: &[Vec<Stay>],
-    room: RoomId,
-    gap: SimDuration,
-    min_hours: f64,
-) -> f64 {
-    let mut durations = Vec::new();
-    for day_stays in stays_per_day {
-        for s in sessions(day_stays, gap) {
-            if s.room == room {
-                let h = s.duration().as_hours_f64();
-                if h >= min_hours {
-                    durations.push(h);
-                }
-            }
-        }
-    }
-    ares_simkit::stats::median(&durations)
-}
-
-/// Room presence intervals (all rooms, including the main hall), used by the
-/// meeting detector for co-presence.
-#[must_use]
-pub fn presence_intervals(stays: &[Stay]) -> Vec<(RoomId, Interval)> {
-    stays.iter().map(|s| (s.room, s.interval)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -241,21 +241,6 @@ impl MissionAnalysis {
         self.bytes_recorded += bytes;
     }
 
-    /// Mission-mean of a daily metric for one astronaut.
-    #[must_use]
-    pub fn mean_daily(&self, a: AstronautId, f: impl Fn(&AstronautDaily) -> f64) -> f64 {
-        let vals: Vec<f64> = self
-            .daily
-            .iter()
-            .filter_map(|d| d[a.index()].as_ref().map(&f))
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
     /// Mission totals: `(worn_h, self_talk_h, walking_h)` per astronaut.
     #[must_use]
     pub fn totals(&self, a: AstronautId) -> (f64, f64, f64) {

@@ -4,7 +4,6 @@
 
 use crate::meetings::MeetingObs;
 use ares_crew::roster::AstronautId;
-use ares_simkit::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// A symmetric 6×6 matrix of accompanied time (hours).
@@ -184,22 +183,12 @@ pub fn normalize_scores(scores: &[f64; 6], exclude: &[AstronautId]) -> [Option<f
     out
 }
 
-/// Total duration of speech-overlap company: convenience sum of meeting
-/// durations an astronaut attended.
-#[must_use]
-pub fn attended_duration(meetings: &[MeetingObs], who: AstronautId) -> SimDuration {
-    meetings
-        .iter()
-        .filter(|m| m.participants.contains(&who))
-        .fold(SimDuration::ZERO, |acc, m| acc + m.duration())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ares_habitat::rooms::RoomId;
     use ares_simkit::series::Interval;
-    use ares_simkit::time::SimTime;
+    use ares_simkit::time::{SimDuration, SimTime};
 
     fn meeting(parts: &[AstronautId], hours: f64) -> MeetingObs {
         MeetingObs {

@@ -1,4 +1,4 @@
-//! `ares-simkit` — deterministic discrete-event simulation kernel.
+//! `ares-simkit` — deterministic simulation primitives.
 //!
 //! This is the foundation layer of the `ares` workspace, the reproduction of
 //! *"30 Sensors to Mars"* (ICDCS 2019). Everything above it — the habitat RF
@@ -7,7 +7,6 @@
 //!
 //! * [`time`] — microsecond-resolution instants and durations on the true
 //!   mission timeline.
-//! * [`event`] — a deterministic discrete-event loop with FIFO tie-breaking.
 //! * [`rng`] — seed-splittable, label-addressed random streams, so every noise
 //!   source is independently reproducible.
 //! * [`clock`] — drifting device clocks and their linear corrections.
@@ -20,21 +19,25 @@
 //!
 //! ```
 //! use ares_simkit::prelude::*;
+//! use rand::Rng;
 //!
-//! let mut el: EventLoop<u64> = EventLoop::new();
-//! el.schedule(SimTime::from_day_hms(1, 8, 0, 0), Box::new(|_, wakeups: &mut u64| {
-//!     *wakeups += 1;
-//! }));
-//! let mut wakeups = 0;
-//! el.run_until(SimTime::from_day_hms(2, 0, 0, 0), &mut wakeups);
-//! assert_eq!(wakeups, 1);
+//! // A named stream replays the same draws from the same master seed.
+//! let tree = SeedTree::new(7);
+//! let jitter_ms: i64 = tree.stream("badge/A/scan").gen_range(0..1_000);
+//! assert_eq!(tree.stream("badge/A/scan").gen_range(0..1_000), jitter_ms);
+//!
+//! // Instants and durations live on the mission timeline.
+//! let wake = SimTime::from_day_hms(3, 7, 0, 0);
+//! let scan = wake + SimDuration::from_millis(jitter_ms);
+//! assert_eq!(scan - wake, SimDuration::from_millis(jitter_ms));
+//! assert_eq!(scan.mission_day(), 3);
+//! assert_eq!(scan.floor_to(SimDuration::from_secs(1)), wake);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod clock;
-pub mod event;
 pub mod geometry;
 pub mod lanes;
 pub mod par;
@@ -46,7 +49,6 @@ pub mod time;
 /// Convenient glob-import of the most used simkit types.
 pub mod prelude {
     pub use crate::clock::{ClockCorrection, DriftingClock};
-    pub use crate::event::{EventLoop, Scheduler};
     pub use crate::geometry::{Grid, Point2, Polygon, Segment, Vec2};
     pub use crate::rng::SeedTree;
     pub use crate::series::{Interval, IntervalSet, Sample, Series};

@@ -326,16 +326,6 @@ impl IntervalSet {
         }
     }
 
-    /// Total measure of the set restricted to `[lo, hi)`.
-    #[must_use]
-    pub fn duration_within(&self, lo: SimTime, hi: SimTime) -> SimDuration {
-        let window = Interval::new(lo, hi);
-        self.items
-            .iter()
-            .filter_map(|iv| iv.intersect(&window))
-            .fold(SimDuration::ZERO, |acc, iv| acc + iv.duration())
-    }
-
     /// Union of two sets.
     #[must_use]
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {

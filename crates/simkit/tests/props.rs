@@ -1,6 +1,5 @@
 //! Property tests for the simulation kernel.
 
-use ares_simkit::event::EventLoop;
 use ares_simkit::geometry::{Point2, Polygon, Segment, Vec2};
 use ares_simkit::rng::SeedTree;
 use ares_simkit::series::{Interval, IntervalSet, Series};
@@ -37,23 +36,6 @@ proptest! {
         prop_assert!(f <= t);
         prop_assert_eq!(f.floor_to(step), f);
         prop_assert!((t - f) < step);
-    }
-
-    #[test]
-    fn event_loop_executes_in_order(times in prop::collection::vec(0i64..100_000, 1..200)) {
-        let mut el: EventLoop<Vec<i64>> = EventLoop::new();
-        for &t in &times {
-            el.schedule(
-                SimTime::from_micros(t),
-                Box::new(move |s, log: &mut Vec<i64>| log.push(s.now().as_micros())),
-            );
-        }
-        let mut log = Vec::new();
-        el.run_to_completion(&mut log);
-        prop_assert_eq!(log.len(), times.len());
-        let mut sorted = log.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(log, sorted);
     }
 
     #[test]

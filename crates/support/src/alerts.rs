@@ -211,12 +211,6 @@ impl AlertEngine {
         self.raised.extend(new_alerts.iter().cloned());
         new_alerts
     }
-
-    /// Alerts of a given rule.
-    #[must_use]
-    pub fn of_rule(&self, rule: &str) -> Vec<&Alert> {
-        self.raised.iter().filter(|a| a.rule == rule).collect()
-    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,11 @@ echo "== tier1: support example (replicated tier survives a noon kill) =="
 # execute rather than only compile.
 cargo run --release -q --example support_system
 
+echo "== tier1: ablations (design-choice tables EXPERIMENTS.md cites) =="
+# Executes the generator of EXPERIMENTS.md's ablation table so it cannot rot
+# while only compiling; one shared day-3 recording keeps it to seconds.
+cargo run --release -q -p ares-bench --bin ablations
+
 echo "== tier1: bench smoke (per-stage timings -> BENCH_pipeline.json) =="
 # bench_smoke writes the artifact fresh; the soaks below splice into it, so
 # order matters: smoke first, then ingest, then fleet, then the guard.

@@ -9,7 +9,7 @@
 //! and a one-off human study; this workspace rebuilds every layer in
 //! simulation and validates the pipeline against known ground truth:
 //!
-//! * [`simkit`] — deterministic discrete-event kernel (time, events, RNG,
+//! * [`simkit`] — deterministic simulation primitives (time, RNG streams,
 //!   clocks, geometry, intervals).
 //! * [`habitat`] — the Lunares-class floor plan, RF propagation, beacons and
 //!   environment.
