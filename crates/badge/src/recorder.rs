@@ -205,8 +205,8 @@ impl<'a> Recorder<'a> {
 
     /// Records one mission day with the pre-batching per-tick loop — the
     /// reference implementation retained as the bit-identity oracle for the
-    /// memoised kernel (equivalence tests and `scenario_soak`
-    /// compare against it).
+    /// memoised kernel (equivalence tests and the scenario stage of
+    /// `bench_smoke` compare against it).
     #[must_use]
     pub fn record_day_stores_scalar(&self, day: u32) -> Vec<TelemetryStore> {
         let pre = self.precompute_day(day);

@@ -1,7 +1,7 @@
-//! Scenario-generation soak: dozens of seeded, validated scenarios driven
-//! through the full vertical slice.
+//! Dozens of seeded, validated scenarios driven through the full vertical
+//! slice.
 //!
-//! For each seed the soak generates a
+//! For each seed the stage generates a
 //! [`ScenarioSpec`](ares_scenario::ScenarioSpec), checks it against the
 //! layout rulebook ([`ares_scenario::validate()`]), assembles the deployment
 //! through [`MissionRunner`] and proves the engine's invariants hold on the
@@ -18,29 +18,16 @@
 //! * the streaming analyzer, checkpointed mid-feed and restored into a
 //!   fresh instance, replays to byte-identical events and checkpoints.
 //!
-//! The verdicts are spliced into `BENCH_pipeline.json` as a top-level
-//! `"scenario_gen"` object and enforced by `bench_guard` behind
-//! `scripts/tier1.sh`:
-//!
-//! * `"scenarios_validated"` ≥ 25 — real scenario diversity, not a smoke;
-//! * `"cache_purity_min"` — the worst per-plan field-cache
-//!   `resolved_fraction` stays above its floor;
-//! * `"deterministic"` — every scenario held every bit-identity above.
-//!
-//! A per-plan scorecard (including each plan's `resolved_fraction` report
-//! row) lands in `artifacts/scenario_scorecard.txt`, and one compact line
-//! per run is appended to `artifacts/bench_history.jsonl`, both in the
-//! output path's directory.
-//!
-//! ```text
-//! cargo run --release -p ares-bench --bin scenario_soak [out.json]
-//! SCENARIO_COUNT=30 …   # scale override
-//! BENCH_TS=<unix-seconds> …  # pins the history timestamp
-//! ```
+//! Three verdicts go to the tier-1 check: `scenario_gen.scenarios_validated`
+//! ≥ 25 (real scenario diversity, not a smoke), `cache_purity_min` (the
+//! worst per-plan field-cache `resolved_fraction` stays above its floor) and
+//! `deterministic` (every scenario held every bit-identity above). The
+//! per-plan scorecard goes to `artifacts/scenario_scorecard.txt`.
 
 use ares_badge::recorder::Recorder;
 use ares_badge::records::{BadgeId, SamplingConfig};
 use ares_badge::telemetry::TelemetryStore;
+use ares_bench::artifact::ScenarioGen;
 use ares_icares::{MissionRunner, ScenarioConfig, FIRST_INSTRUMENTED_DAY};
 use ares_scenario::{generate, validate};
 use ares_simkit::rng::SeedTree;
@@ -48,8 +35,10 @@ use ares_sociometrics::engine::MissionEngine;
 use ares_sociometrics::report::{scenario_section, ScenarioPlanRow};
 use ares_sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
 use ares_support::ingest::{wire_feed, TelemetryRecord};
-use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Seeds generated and driven through the slice.
+const SCENARIOS: u64 = 30;
 
 /// Badges fed to the streaming replay probe per scenario (a genuine
 /// multi-badge interleave while keeping each probe fast).
@@ -59,13 +48,6 @@ const STREAM_BADGES: usize = 3;
 /// audio frames hit the recorder's memos far more often than the fleet
 /// profile the soak records at.
 const DEFAULT_PROFILE_WORLDS: u64 = 3;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn apply_record(
     sa: &mut StreamingAnalyzer,
@@ -117,19 +99,16 @@ fn streaming_replay_identical(runner: &MissionRunner, stores: &[TelemetryStore],
     split_events == whole_events && whole_ckpt == split_ckpt
 }
 
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let count = env_u64("SCENARIO_COUNT", 30);
+/// Runs the scenario soak; returns the block and the scorecard.
+pub fn run() -> (ScenarioGen, String) {
     let day = FIRST_INSTRUMENTED_DAY;
 
-    eprintln!("scenario_gen: {count} seeded scenarios, recording day {day}…");
+    eprintln!("scenario_gen: {SCENARIOS} seeded scenarios, recording day {day}…");
     let t0 = Instant::now();
     let mut rows: Vec<ScenarioPlanRow> = Vec::new();
     let mut validated = 0u64;
     let mut all_deterministic = true;
-    for seed in 0..count {
+    for seed in 0..SCENARIOS {
         let spec = generate(seed);
         let violations = validate(&spec);
         if violations.is_empty() {
@@ -201,40 +180,16 @@ fn main() {
         .iter()
         .map(|r| r.resolved_fraction)
         .fold(1.0f64, f64::min);
-    let section = scenario_section(&rows);
-    let scorecard_path =
-        ares_bench::artifact::write_side_file(&out_path, "scenario_scorecard.txt", &section);
-
-    let member = ares_bench::artifact::render_member(
-        "scenario_gen",
-        &[
-            ("scenarios", count.to_string()),
-            ("scenarios_validated", validated.to_string()),
-            ("cache_purity_min", format!("{cache_purity_min:.6}")),
-            ("deterministic", all_deterministic.to_string()),
-            ("wall_s", format!("{wall_s:.6}")),
-        ],
-    );
-    ares_bench::artifact::splice_into_file(&out_path, "scenario_gen", &member);
-
-    let mut line = String::new();
-    let _ = write!(
-        line,
-        "\"scenario_count\": {count}, \"scenario_validated\": {validated}, \
-         \"scenario_cache_purity_min\": {cache_purity_min:.6}, \
-         \"scenario_deterministic\": {all_deterministic}, \"scenario_wall_s\": {wall_s:.6}"
-    );
-    ares_bench::artifact::append_history(&out_path, &line);
-
-    println!("{section}");
+    let block = ScenarioGen {
+        scenarios: SCENARIOS,
+        scenarios_validated: validated,
+        cache_purity_min,
+        deterministic: all_deterministic,
+        wall_s,
+    };
     println!(
-        "scenario soak: {validated}/{count} validated, cache purity min {cache_purity_min:.5}, \
-         deterministic: {all_deterministic}, {wall_s:.2} s"
+        "scenario_gen: {validated}/{SCENARIOS} validated, cache purity min \
+         {cache_purity_min:.5}, deterministic: {all_deterministic}, {wall_s:.2} s"
     );
-    println!("wrote {out_path} and {}", scorecard_path.display());
-    assert_eq!(validated, count, "generated scenarios failed validation");
-    assert!(
-        all_deterministic,
-        "scenario determinism probe failed — see {out_path} and stderr"
-    );
+    (block, scenario_section(&rows))
 }

@@ -1,5 +1,5 @@
 //! `ares-bench` — the paper reproduction, the ablation tables and the
-//! tier-1 smoke benchmark and soaks.
+//! tier-1 smoke benchmark.
 //!
 //! Binaries:
 //!
@@ -8,16 +8,13 @@
 //! | `full_repro` | Fig. 2–6, Table I, the prose statistics, the survey cross-check and the EXPERIMENTS.md claim table; writes `artifacts/` |
 //! | `seeds` | the structural claims re-checked across reseeded missions |
 //! | `chaos` | the fault-injection reliability sweep |
-//! | `ablations` | the design-choice accuracy tables EXPERIMENTS.md cites |
-//! | `bench_smoke` | recording and per-stage engine timings → `BENCH_pipeline.json` |
-//! | `ingest_soak` | the sharded ingest service and its kill-a-shard drill |
-//! | `fleet_soak` | hundreds of habitat variants behind the sharded scheduler |
-//! | `scenario_soak` | generated scenarios through the full slice |
-//! | `bench_guard` | every tier-1 floor over `BENCH_pipeline.json` |
+//! | `ablations` | the design-choice accuracy tables → `artifacts/ablations.txt` |
+//! | `bench_smoke` | recording, engine, ingest, fleet and scenario-generation soaks → `BENCH_pipeline.json`, then every tier-1 check over it |
 
 use ares_icares::MissionRunner;
 use ares_sociometrics::pipeline::{DayAnalysis, MissionAnalysis};
 
+pub mod ablations;
 pub mod artifact;
 
 /// Runs the full instrumented mission with the default seed, returning the

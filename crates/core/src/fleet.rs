@@ -25,8 +25,8 @@
 //! Per-habitat [`MissionAnalysis`] is therefore **bit-identical** for any
 //! worker count, any shard count and any batch size; only wall-clock times
 //! (and the wall-time entries of the metrics) vary. `tests/fleet_determinism.rs`
-//! pins this, and the `fleet_soak` bench bin re-verifies a spot-check per run
-//! into `BENCH_pipeline.json` (`"fleet_deterministic"`).
+//! pins this, and the fleet stage of `bench_smoke` re-verifies a spot-check
+//! per run into `BENCH_pipeline.json` (`"fleet_deterministic"`).
 
 use crate::engine::{EngineMetrics, HabitatDays, MissionContext, MissionEngine};
 use crate::pipeline::MissionAnalysis;

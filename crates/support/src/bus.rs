@@ -4,15 +4,15 @@
 //! are independent but have to be orchestrated to deliver certain
 //! functionality." The bus is the orchestration fabric: topic-based
 //! publish/subscribe between system units (sensor aggregators, analysis
-//! units, alert sinks, the Earth-link gateway), built on crossbeam channels
-//! so units can run on their own threads while tests drive them
-//! synchronously.
+//! units, alert sinks, the Earth-link gateway). Each subscription is a
+//! mutex-guarded queue, so units can run on their own threads while tests
+//! drive them synchronously.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{
+    Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+};
 
 /// A bus topic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,45 +55,59 @@ pub struct Message {
     pub payload: String,
 }
 
+/// One subscriber's queue: owned by its [`Subscription`], held weakly by
+/// the bus so a dropped subscription is pruned at the next publish.
+type Queue = Arc<Mutex<VecDeque<Message>>>;
+
+/// Every update of a queue or of the bus counters is one push, pop or
+/// increment, so a holder that panicked left the data valid: the guard is
+/// recovered rather than poisoning the bus for every other unit.
+fn lock(queue: &Mutex<VecDeque<Message>>) -> MutexGuard<'_, VecDeque<Message>> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A handle for receiving messages of one subscription.
 #[derive(Debug)]
 pub struct Subscription {
-    rx: Receiver<Message>,
+    queue: Queue,
 }
 
 impl Subscription {
     /// Non-blocking receive.
     #[must_use]
     pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
+        lock(&self.queue).pop_front()
     }
 
     /// Drains everything currently queued.
     #[must_use]
     pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::new();
-        while let Some(m) = self.try_recv() {
-            out.push(m);
-        }
-        out
+        lock(&self.queue).drain(..).collect()
     }
 
     /// Number of queued messages.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rx.len()
+        lock(&self.queue).len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        lock(&self.queue).is_empty()
     }
+}
+
+#[derive(Debug)]
+struct Subscriber {
+    queue: Weak<Mutex<VecDeque<Message>>>,
+    /// Most messages the queue may hold (`usize::MAX` when unbounded).
+    capacity: usize,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    subscribers: HashMap<Topic, Vec<Sender<Message>>>,
+    subscribers: HashMap<Topic, Vec<Subscriber>>,
     published: HashMap<Topic, u64>,
     /// Messages dropped because a bounded subscriber's queue was full.
     dropped: HashMap<Topic, u64>,
@@ -112,17 +126,31 @@ impl Bus {
         Self::default()
     }
 
-    /// Subscribes to a topic with an unbounded queue.
-    #[must_use]
-    pub fn subscribe(&self, topic: Topic) -> Subscription {
-        let (tx, rx) = unbounded();
-        self.inner
-            .write()
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn attach(&self, topic: Topic, capacity: usize) -> Subscription {
+        let queue = Queue::default();
+        self.write()
             .subscribers
             .entry(topic)
             .or_default()
-            .push(tx);
-        Subscription { rx }
+            .push(Subscriber {
+                queue: Arc::downgrade(&queue),
+                capacity,
+            });
+        Subscription { queue }
+    }
+
+    /// Subscribes to a topic with an unbounded queue.
+    #[must_use]
+    pub fn subscribe(&self, topic: Topic) -> Subscription {
+        self.attach(topic, usize::MAX)
     }
 
     /// Subscribes to a topic with a queue holding at most `capacity`
@@ -136,38 +164,31 @@ impl Bus {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn subscribe_bounded(&self, topic: Topic, capacity: usize) -> Subscription {
-        let (tx, rx) = bounded(capacity);
-        self.inner
-            .write()
-            .subscribers
-            .entry(topic)
-            .or_default()
-            .push(tx);
-        Subscription { rx }
+        assert!(capacity > 0, "bounded subscription needs capacity > 0");
+        self.attach(topic, capacity)
     }
 
     /// Publishes to a topic; returns the number of subscribers reached.
     /// Dead subscriptions are pruned lazily; full bounded subscriptions
     /// count the loss instead of silently swallowing it.
     pub fn publish(&self, topic: Topic, message: Message) -> usize {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         *inner.published.entry(topic).or_default() += 1;
         let mut delivered = 0;
         let mut dropped = 0u64;
-        {
-            let subs = inner.subscribers.entry(topic).or_default();
-            subs.retain(|tx| match tx.try_send(message.clone()) {
-                Ok(()) => {
-                    delivered += 1;
-                    true
-                }
-                Err(TrySendError::Disconnected(_)) => false,
-                Err(TrySendError::Full(_)) => {
-                    dropped += 1;
-                    true
-                }
-            });
-        }
+        inner.subscribers.entry(topic).or_default().retain(|sub| {
+            let Some(queue) = sub.queue.upgrade() else {
+                return false;
+            };
+            let mut queue = lock(&queue);
+            if queue.len() < sub.capacity {
+                queue.push_back(message.clone());
+                delivered += 1;
+            } else {
+                dropped += 1;
+            }
+            true
+        });
         if dropped > 0 {
             *inner.dropped.entry(topic).or_default() += dropped;
         }
@@ -177,23 +198,19 @@ impl Bus {
     /// Total messages ever published to a topic.
     #[must_use]
     pub fn published_count(&self, topic: Topic) -> u64 {
-        *self.inner.read().published.get(&topic).unwrap_or(&0)
+        *self.read().published.get(&topic).unwrap_or(&0)
     }
 
     /// Messages dropped on a topic because a bounded subscriber was full.
     #[must_use]
     pub fn dropped_count(&self, topic: Topic) -> u64 {
-        *self.inner.read().dropped.get(&topic).unwrap_or(&0)
+        *self.read().dropped.get(&topic).unwrap_or(&0)
     }
 
     /// Current subscriber count on a topic.
     #[must_use]
     pub fn subscriber_count(&self, topic: Topic) -> usize {
-        self.inner
-            .read()
-            .subscribers
-            .get(&topic)
-            .map_or(0, Vec::len)
+        self.read().subscribers.get(&topic).map_or(0, Vec::len)
     }
 }
 

@@ -51,8 +51,8 @@
 //! deterministic, and checkpoint restore is exact, the recovered state is
 //! **byte-identical** to an unfaulted run — the same bit-determinism
 //! contract the batch engine holds at any worker count, now held across
-//! crash-and-recover. `tests/ingest_service.rs` and the `ingest_soak` bench
-//! binary assert it end to end.
+//! crash-and-recover. `tests/ingest_service.rs` asserts it end to end,
+//! and the ingest stage of `bench_smoke` checks it every tier-1 run.
 
 use crate::bus::{Bus, Message, Topic};
 use crate::chaos::{FaultPlan, FaultScheduler};
@@ -248,9 +248,11 @@ pub struct IngestConfig {
     pub checkpoint_every: SimDuration,
     /// Heartbeat deadline of the per-shard failure detector.
     pub heartbeat_deadline: SimDuration,
-    /// Publish a [`Topic::Ingest`] shed notice every this many drops.
-    pub drop_publish_every: u64,
 }
+
+/// A shard publishes a [`Topic::Ingest`] shed notice on its first drop and
+/// on every this-many drops after it.
+const DROP_PUBLISH_EVERY: u64 = 256;
 
 impl IngestConfig {
     /// The ICARES defaults for serving one mission day: two shards, three
@@ -267,7 +269,6 @@ impl IngestConfig {
             span: Interval::new(start, start + SimDuration::from_hours(24)),
             checkpoint_every: SimDuration::from_mins(15),
             heartbeat_deadline: SimDuration::from_mins(5),
-            drop_publish_every: 256,
         }
     }
 
@@ -805,7 +806,7 @@ impl IngestServer {
         let Err((n, total)) = self.queues[shard].push_data(msg, shed) else {
             return true;
         };
-        if (total - 1).is_multiple_of(self.config.drop_publish_every) {
+        if (total - 1).is_multiple_of(DROP_PUBLISH_EVERY) {
             self.bus.publish(
                 Topic::Ingest,
                 Message {
@@ -1237,34 +1238,38 @@ mod tests {
         let ctx = MissionContext::icares();
         let bus = Bus::new();
         let shed_watch = bus.subscribe(Topic::Ingest);
-        let mut cfg = config(1, 4, BackpressurePolicy::Shed);
-        cfg.drop_publish_every = 3;
+        let cfg = config(1, 4, BackpressurePolicy::Shed);
         let server = IngestServer::spawn(cfg, &ctx, bus, &FaultPlan::new(1));
         let pause = server.pause_shard(0);
         // With the shard parked the bounded queue fills deterministically:
-        // four fit, the rest shed.
+        // four fit, the rest shed — one more drop than the publish cadence.
+        let submitted = 4 + DROP_PUBLISH_EVERY as u32 + 1;
         let mut accepted = 0;
-        for i in 0..10u32 {
+        for i in 0..submitted {
             if server.submit(TenantId(0), BadgeId(0), sync_at(1, 8, 0, i)) {
                 accepted += 1;
             }
         }
+        let shed = u64::from(submitted - 4);
         assert_eq!(accepted, 4);
         assert_eq!(server.queue_depth(0), 4);
         let dropped = server.dropped(0);
-        assert!(dropped.contains(&("sync", 6)), "typed counter: {dropped:?}");
+        assert!(
+            dropped.contains(&("sync", shed)),
+            "typed counter: {dropped:?}"
+        );
         assert_eq!(
             shed_watch.drain().len(),
             2,
-            "drops 1 and 4 publish at cadence 3"
+            "the first drop and the one a cadence later publish"
         );
         drop(pause);
         let report = server.finish();
         assert_eq!(report.records_applied(), 4);
-        assert_eq!(report.records_dropped(), 6);
+        assert_eq!(report.records_dropped(), shed);
         assert_eq!(report.shards[0].queue_peak, 4);
         let rows = report.report_rows();
-        assert_eq!(rows[0].dropped_total(), 6);
+        assert_eq!(rows[0].dropped_total(), shed);
         assert_eq!(rows[0].queue_peak, 4);
     }
 

@@ -13,9 +13,6 @@ cargo build --release --workspace
 
 echo "== tier1: tests =="
 cargo test -q --workspace
-# The vendored channel shim is not a workspace member; its wake-up tests
-# guard the support bus.
-cargo test -q -p crossbeam
 
 echo "== tier1: perfbench self-tests (benchmark builds against the crates) =="
 # perfbench is its own workspace that calls the crates' public APIs; running
@@ -35,44 +32,16 @@ echo "== tier1: support example (replicated tier survives a noon kill) =="
 # execute rather than only compile.
 cargo run --release -q --example support_system
 
-echo "== tier1: ablations (design-choice tables EXPERIMENTS.md cites) =="
-# Executes the generator of EXPERIMENTS.md's ablation table so it cannot rot
-# while only compiling; one shared day-3 recording keeps it to seconds.
-cargo run --release -q -p ares-bench --bin ablations
-
-echo "== tier1: bench smoke (per-stage timings -> BENCH_pipeline.json) =="
-# bench_smoke writes the artifact fresh; the soaks below splice into it, so
-# order matters: smoke first, then ingest, then fleet, then the guard.
+echo "== tier1: bench smoke (every soak -> BENCH_pipeline.json, then every floor) =="
+# One process measures recording and the staged engine, the sharded ingest
+# service with its kill-a-shard drill, the 200-habitat fleet and 30
+# generated scenarios; writes the artifact, the three scorecards and one
+# run-history line; then checks the typed artifact: determinism bits
+# (engine, recording, fleet, scenario generation), recovery divergence, the
+# localize/speech/recording/ingest/fleet throughput floors, the >=1000
+# badge-day fleet scale floor, the >=25 validated-scenario floor with its
+# field-cache purity minimum, and a finite value in every float. Any
+# violation exits non-zero after the artifact is written.
 cargo run --release -q -p ares-bench --bin bench_smoke BENCH_pipeline.json
-
-echo "== tier1: ingest soak (multi-tenant streaming + chaos drill) =="
-# Streams a full recorded day through the sharded ingest service twice —
-# clean, then with shard 0's primary killed at noon — and splices sustained
-# throughput plus a recovery-divergence bit into the artifact.
-cargo run --release -q -p ares-bench --bin ingest_soak BENCH_pipeline.json
-
-echo "== tier1: fleet soak (sharded mission service at fleet scale) =="
-# Hundreds of seeded habitat variants behind the sharded deterministic
-# scheduler; splices badge-day throughput, availability drill results and a
-# fleet-determinism bit into the artifact.
-cargo run --release -q -p ares-bench --bin fleet_soak BENCH_pipeline.json
-
-echo "== tier1: scenario soak (seeded generated worlds through the slice) =="
-# Generates dozens of seeded scenarios (the property tests in
-# tests/scenario_properties.rs already ran under `cargo test` above),
-# validates each against the layout rulebook, and proves recording/analysis/
-# streaming bit-identity on the generated geometry; splices the scenario
-# count, worst field-cache resolved fraction and a determinism bit into the
-# artifact.
-cargo run --release -q -p ares-bench --bin scenario_soak BENCH_pipeline.json
-
-echo "== tier1: bench regression guard =="
-# One structured pass over the artifact replaces the old grep/sed stanzas:
-# determinism bits (engine, recording, fleet, scenario generation), recovery
-# divergence, the localize/speech/ingest throughput floors, the >=1000
-# badge-day fleet scale floor, and the >=25 validated-scenario floor with
-# its field-cache purity minimum. Any violation is a build failure, not a
-# number to eyeball.
-cargo run --release -q -p ares-bench --bin bench_guard BENCH_pipeline.json
 
 echo "== tier1: OK =="
