@@ -112,6 +112,15 @@ impl<T> Column<T> {
         Column::default()
     }
 
+    /// An empty column with room for `capacity` records.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        Column {
+            ts: Vec::with_capacity(capacity),
+            payloads: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -136,11 +145,25 @@ impl<T> Column<T> {
         }
     }
 
-    /// Appends another column's records after this one's (stable merge via
-    /// per-record sorted insert when the other column starts earlier).
-    pub fn append(&mut self, other: Column<T>) {
-        for (t, p) in other.ts.into_iter().zip(other.payloads) {
-            self.push(t, p);
+    /// Appends a copy of another column's records after this one's: one
+    /// extend when `other` starts at or after this column's last timestamp,
+    /// otherwise a stable merge by per-record sorted insert. Either way the
+    /// result is what pushing `other`'s records one by one gives.
+    pub fn append(&mut self, other: ColumnView<'_, T>)
+    where
+        T: Clone,
+    {
+        let follows = match (self.ts.last(), other.ts.first()) {
+            (Some(last), Some(first)) => last <= first,
+            _ => true,
+        };
+        if follows {
+            self.ts.extend_from_slice(other.ts);
+            self.payloads.extend_from_slice(other.payloads);
+        } else {
+            for (t, p) in other.iter() {
+                self.push(t, p.clone());
+            }
         }
     }
 
@@ -303,26 +326,6 @@ impl TelemetryStore {
     #[must_use]
     pub fn window(&self, start: SimTime, end: SimTime) -> TelemetryView<'_> {
         self.view().window(start, end)
-    }
-
-    /// Appends another store of the same unit (used to stitch days together).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit ids differ.
-    pub fn append(&mut self, other: TelemetryStore) {
-        assert_eq!(
-            self.badge, other.badge,
-            "appending a different unit's store"
-        );
-        self.scans.append(other.scans);
-        self.audio.append(other.audio);
-        self.imu.append(other.imu);
-        self.env.append(other.env);
-        self.proximity.append(other.proximity);
-        self.ir.append(other.ir);
-        self.sync.append(other.sync);
-        self.bytes_written += other.bytes_written;
     }
 
     /// Appends one BLE scan (row form) into the scan column.
@@ -566,24 +569,34 @@ mod tests {
         assert_eq!(col.view().window(t(0), t(100)).window(t(5), t(9)).len(), 2);
     }
 
+    /// `append` equals pushing the records one by one: in order, across an
+    /// equal-timestamp boundary, and interleaved.
     #[test]
-    fn store_append_merges_in_time_order() {
-        let mut a = TelemetryStore::new(BadgeId(0));
-        a.ir.push(t(5), IrPayload { other: BadgeId(1) });
-        a.bytes_written = 10;
-        let mut b = TelemetryStore::new(BadgeId(0));
-        b.ir.push(t(2), IrPayload { other: BadgeId(2) });
-        b.bytes_written = 7;
-        a.append(b);
-        assert_eq!(a.ir.view().ts(), &[t(2), t(5)]);
-        assert_eq!(a.bytes_written, 17);
-        assert_eq!(a.record_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different unit")]
-    fn store_append_rejects_other_units() {
-        let mut a = TelemetryStore::new(BadgeId(1));
-        a.append(TelemetryStore::new(BadgeId(2)));
+    fn append_equals_pushing_record_by_record() {
+        let column = |records: &[(i64, char)]| {
+            let mut col = Column::new();
+            for &(s, c) in records {
+                col.push(t(s), c);
+            }
+            col
+        };
+        let head = [(1, 'a'), (3, 'b'), (5, 'c')];
+        for tail in [
+            &[(6, 'd'), (9, 'e')][..],
+            &[(5, 'd'), (5, 'e'), (7, 'f')][..],
+            &[(0, 'd'), (3, 'e'), (4, 'f'), (8, 'g')][..],
+            &[][..],
+        ] {
+            let mut pushed = column(&head);
+            for &(s, c) in tail {
+                pushed.push(t(s), c);
+            }
+            let mut appended = column(&head);
+            appended.append(column(tail).view());
+            assert_eq!(appended, pushed, "append {tail:?}");
+        }
+        let mut empty = Column::new();
+        empty.append(column(&head).view());
+        assert_eq!(empty, column(&head));
     }
 }

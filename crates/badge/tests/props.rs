@@ -224,10 +224,10 @@ proptest! {
     }
 
     /// Pushing an arrival sequence into segments cut at arbitrary points and
-    /// joining them with `TelemetryStore::append` gives the store that one
-    /// store fed the whole sequence holds: ties keep arrival order and
-    /// out-of-order records land where a single column would put them. The
-    /// ingest day end joins checkpoint segments on exactly this argument.
+    /// joining them column by column with `Column::append` gives the store
+    /// that one store fed the whole sequence holds: ties keep arrival order
+    /// and out-of-order records land where a single column would put them.
+    /// The ingest day end joins checkpoint segments on exactly this argument.
     #[test]
     fn segmented_pushes_joined_by_append_equal_one_store(
         arrivals in prop::collection::vec((0u8..7, 0i64..40, 0u8..13, -95.0f64..-30.0), 0..96),
@@ -285,7 +285,14 @@ proptest! {
         for to in cuts {
             let mut segment = TelemetryStore::new(badge);
             arrivals[from..to].iter().for_each(|r| push(&mut segment, r));
-            joined.append(segment);
+            joined.scans.append(segment.scans.view());
+            joined.audio.append(segment.audio.view());
+            joined.imu.append(segment.imu.view());
+            joined.env.append(segment.env.view());
+            joined.proximity.append(segment.proximity.view());
+            joined.ir.append(segment.ir.view());
+            joined.sync.append(segment.sync.view());
+            joined.bytes_written += segment.bytes_written;
             from = to;
         }
 

@@ -106,6 +106,13 @@ pub struct Ingest {
     pub vault_restores: u64,
     pub wal_replayed: u64,
     pub checkpoints: u64,
+    /// Clean run: scans solved when a checkpoint sealed their segment.
+    /// Depends on where checkpoints cut the day, so it is not compared
+    /// with the chaos run.
+    pub scans_presolved: u64,
+    /// Clean run: badge-days whose scans were solved whole at the day end.
+    /// Depends on where checkpoints cut the day.
+    pub presolve_fallbacks: u64,
     pub records_dropped: u64,
     /// The drill did not fail over, or a tenant's recovered output differs.
     pub recovery_divergent: bool,
@@ -138,7 +145,7 @@ pub struct ScenarioGen {
     /// Specs the layout rulebook accepted.
     pub scenarios_validated: u64,
     /// Worst field-cache `resolved_fraction` over the plans.
-    pub cache_purity_min: f64,
+    pub cache_resolved_min: f64,
     /// Every scenario held every bit-identity.
     pub deterministic: bool,
     pub wall_s: f64,
@@ -264,7 +271,11 @@ pub fn check_pipeline(p: &Pipeline) -> Vec<Violation> {
             s.scenarios_validated as f64,
             25.0,
         ),
-        ("scenario_gen.cache_purity_min", s.cache_purity_min, 0.95),
+        (
+            "scenario_gen.cache_resolved_min",
+            s.cache_resolved_min,
+            0.95,
+        ),
     ] {
         if got < floor {
             out.push(Violation(format!("{path} regressed: {got} < {floor}")));
@@ -369,7 +380,7 @@ mod tests {
             },
             scenario_gen: ScenarioGen {
                 scenarios_validated: 30,
-                cache_purity_min: 1.0,
+                cache_resolved_min: 1.0,
                 deterministic: true,
                 ..ScenarioGen::default()
             },
@@ -428,7 +439,7 @@ mod tests {
         f.habitats = 0;
         s.deterministic = false;
         s.scenarios_validated = 12;
-        s.cache_purity_min = 0.4;
+        s.cache_resolved_min = 0.4;
         let text = texts(&check_pipeline(&sick));
         let expected = [
             "deterministic is false",
@@ -447,7 +458,7 @@ mod tests {
             "fleet.badge_days regressed",
             "fleet.badge_days_per_s regressed",
             "scenario_gen.scenarios_validated regressed",
-            "scenario_gen.cache_purity_min regressed",
+            "scenario_gen.cache_resolved_min regressed",
         ];
         assert_eq!(text.len(), expected.len(), "{text:?}");
         for (got, want) in text.iter().zip(expected) {

@@ -116,6 +116,8 @@ pub fn run(ctx: &MissionContext, day: u32, stores: &[TelemetryStore]) -> (Ingest
         vault_restores: drill.replays,
         wal_replayed: drill.wal_replayed,
         checkpoints: faulted.shards.iter().map(|s| s.checkpoints).sum(),
+        scans_presolved: baseline.shards.iter().map(|s| s.scans_presolved).sum(),
+        presolve_fallbacks: baseline.shards.iter().map(|s| s.presolve_fallbacks).sum(),
         records_dropped: faulted.records_dropped(),
         recovery_divergent,
     };

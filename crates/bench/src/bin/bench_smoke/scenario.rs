@@ -19,7 +19,7 @@
 //!   fresh instance, replays to byte-identical events and checkpoints.
 //!
 //! Three verdicts go to the tier-1 check: `scenario_gen.scenarios_validated`
-//! ≥ 25 (real scenario diversity, not a smoke), `cache_purity_min` (the
+//! ≥ 25 (real scenario diversity, not a smoke), `cache_resolved_min` (the
 //! worst per-plan field-cache `resolved_fraction` stays above its floor) and
 //! `deterministic` (every scenario held every bit-identity above). The
 //! per-plan scorecard goes to `artifacts/scenario_scorecard.txt`.
@@ -176,20 +176,20 @@ pub fn run() -> (ScenarioGen, String) {
     }
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let cache_purity_min = rows
+    let cache_resolved_min = rows
         .iter()
         .map(|r| r.resolved_fraction)
         .fold(1.0f64, f64::min);
     let block = ScenarioGen {
         scenarios: SCENARIOS,
         scenarios_validated: validated,
-        cache_purity_min,
+        cache_resolved_min,
         deterministic: all_deterministic,
         wall_s,
     };
     println!(
-        "scenario_gen: {validated}/{SCENARIOS} validated, cache purity min \
-         {cache_purity_min:.5}, deterministic: {all_deterministic}, {wall_s:.2} s"
+        "scenario_gen: {validated}/{SCENARIOS} validated, cache resolved min \
+         {cache_resolved_min:.5}, deterministic: {all_deterministic}, {wall_s:.2} s"
     );
     (block, scenario_section(&rows))
 }

@@ -1,6 +1,7 @@
 //! Runs the complete reproduction: every figure, the table (with the
 //! paper's reference rows), the statistics, and the shape-check claim table
-//! recorded in EXPERIMENTS.md.
+//! recorded in EXPERIMENTS.md. Stdout depends only on the code; the wall
+//! time goes to stderr.
 use ares_crew::roster::AstronautId;
 use ares_icares::{calibration, figures};
 
@@ -142,11 +143,10 @@ fn main() {
     println!("==================== Claims ====================");
     println!("{}", calibration::render_claims_markdown(&claims));
     let passed = claims.iter().filter(|c| c.pass).count();
-    println!(
-        "{passed}/{} shape checks hold; wall time {:?}",
-        claims.len(),
-        t0.elapsed()
-    );
+    println!("{passed}/{} shape checks hold", claims.len());
+    // Wall time goes to stderr, so two runs of the same code print
+    // byte-identical stdout.
+    eprintln!("wall time {:?}", t0.elapsed());
     if passed < claims.len() {
         std::process::exit(1);
     }

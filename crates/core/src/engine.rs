@@ -28,7 +28,7 @@
 
 use crate::activity::{self, ActivityTrack};
 use crate::anomaly::{self, Identification};
-use crate::localization::{self, PositionTrack};
+use crate::localization::{self, PositionTrack, SolvedScans};
 use crate::meetings;
 use crate::occupancy::{self, PassageMatrix, Stay};
 use crate::pipeline::{AstronautDaily, BadgeDay, DayAnalysis, MissionAnalysis, PipelineParams};
@@ -227,6 +227,14 @@ impl EngineMetrics {
         m.wall_s += wall_s;
     }
 
+    /// Adds wall time spent on a stage's work ahead of its invocation: the
+    /// ingest service solves scans as checkpoints seal them, and the
+    /// localize stage then only emits. The invocation still counts the call
+    /// and its records.
+    pub fn add_wall(&mut self, stage: Stage, wall_s: f64) {
+        self.stages[stage.index()].wall_s += wall_s;
+    }
+
     /// The accumulated metrics of one stage.
     #[must_use]
     pub fn get(&self, stage: Stage) -> StageMetrics {
@@ -357,11 +365,19 @@ pub fn stage_identity(
 ///
 /// This is the unit of work the parallel executor fans out; the batch
 /// pipeline calls it in log order, and both produce identical [`BadgeDay`]s.
+///
+/// `solved` holds the badge's scans already solved, piece by piece in
+/// column order ([`localization::solve_scans`]); the localize stage then
+/// only emits them, and the view's scan column is not read. It still counts
+/// every solved scan as a record in, and the caller adds the solves' wall
+/// time with [`EngineMetrics::add_wall`]. With `None` the stage solves the
+/// view's scan column ([`stage_localize`]).
 #[must_use]
 pub fn analyze_badge_day(
     ctx: &MissionContext,
     day: u32,
     view: TelemetryView<'_>,
+    solved: Option<&[&SolvedScans]>,
     metrics: &mut EngineMetrics,
 ) -> BadgeDay {
     let t0 = Instant::now();
@@ -374,10 +390,16 @@ pub fn analyze_badge_day(
     );
 
     let t0 = Instant::now();
-    let track = stage_localize(ctx, view, &corr);
+    let (track, scans_in) = match solved {
+        Some(pieces) => (
+            localization::emit_track(pieces, &corr),
+            pieces.iter().map(|p| p.scans_in()).sum(),
+        ),
+        None => (stage_localize(ctx, view, &corr), view.scans.len()),
+    };
     metrics.record(
         Stage::Localize,
-        view.scans.len() as u64,
+        scans_in as u64,
         track.fixes.len() as u64,
         t0.elapsed().as_secs_f64(),
     );
@@ -588,8 +610,31 @@ pub fn analyze_day_stores(
     stores: &[TelemetryStore],
     metrics: &mut EngineMetrics,
 ) -> DayAnalysis {
-    let badges: Vec<BadgeDay> = badge_views(stores)
-        .map(|view| analyze_badge_day(ctx, day, view, metrics))
+    analyze_day_solved(ctx, day, stores, &[], metrics)
+}
+
+/// [`analyze_day_stores`] for a day whose scans were partly solved ahead:
+/// `solved[i]`, where present, holds the solved pieces of `stores[i]`'s scan
+/// column, and that store's scan column is not read (see
+/// [`analyze_badge_day`]). Stores past the end of `solved` solve their own
+/// scans. Given the rows [`localization::solve_scans`] makes of the same
+/// column, the analysis is bit-identical to [`analyze_day_stores`].
+#[must_use]
+pub fn analyze_day_solved(
+    ctx: &MissionContext,
+    day: u32,
+    stores: &[TelemetryStore],
+    solved: &[Option<Vec<&SolvedScans>>],
+    metrics: &mut EngineMetrics,
+) -> DayAnalysis {
+    let badges: Vec<BadgeDay> = stores
+        .iter()
+        .enumerate()
+        .filter(|(_, store)| store.badge != BadgeId::REFERENCE)
+        .map(|(i, store)| {
+            let pieces = solved.get(i).and_then(Option::as_deref);
+            analyze_badge_day(ctx, day, store.view(), pieces, metrics)
+        })
         .collect();
     assemble_day(ctx, day, stores, badges, metrics)
 }
@@ -789,7 +834,7 @@ impl MissionEngine {
             let t = tasks[i];
             let mut metrics = EngineMetrics::new();
             (
-                analyze_badge_day(t.ctx, t.day, t.view, &mut metrics),
+                analyze_badge_day(t.ctx, t.day, t.view, None, &mut metrics),
                 metrics,
             )
         });

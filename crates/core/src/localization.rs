@@ -487,9 +487,8 @@ struct BatchScratch {
     lx: Vec<[f64; lanes::LANES]>,
     ly: Vec<[f64; lanes::LANES]>,
     ld: Vec<[f64; lanes::LANES]>,
-    /// Gathered local timestamps and their batch-corrected reference times.
+    /// The block's local timestamps, in arrival order.
     tloc: Vec<SimTime>,
-    tref: Vec<SimTime>,
 }
 
 impl Default for BatchScratch {
@@ -509,28 +508,25 @@ impl Default for BatchScratch {
             ly: Vec::new(),
             ld: Vec::new(),
             tloc: Vec::new(),
-            tref: Vec::new(),
         }
     }
 }
 
 impl BatchScratch {
-    /// Solves every buffered scan and emits its fix, then resets the block.
+    /// Solves every buffered scan and hands the block's rows to `rows`, then
+    /// resets the block.
     ///
-    /// Phase B of the batched kernel: lane-wide RSSI averaging and ranging,
+    /// Phase B of the batched solve: lane-wide RSSI averaging and ranging,
     /// anchor-count bucketing, lane-transposed weighted-centroid +
-    /// Gauss–Newton solves, then in-arrival-order emission through the
-    /// batch-corrected clock map and the monotonic guard — each step
+    /// Gauss–Newton solves, then the rows in arrival order — each step
     /// performing, per scan, exactly the operations of the scalar loop.
     #[allow(clippy::cast_possible_truncation)]
     fn flush(
         &mut self,
         ranging: &RangingTable,
-        corr: &SyncCorrection,
         plan: &ares_habitat::floorplan::FloorPlan,
         params: &LocalizationParams,
-        last_t: &mut Option<SimTime>,
-        track: &mut PositionTrack,
+        rows: &mut impl FnMut(SolvedBlock<'_>),
     ) {
         use lanes::{as_lanes, as_lanes_mut, LANES};
         if self.pend.is_empty() {
@@ -624,32 +620,37 @@ impl BatchScratch {
             }
         }
 
-        // Emit in arrival order: batch clock correction, monotonic guard,
-        // fix push — the scalar tail of `localize_inner`, verbatim.
         self.tloc.clear();
         self.tloc.extend(self.pend.iter().map(|p| p.t_local));
-        self.tref.clear();
-        corr.to_reference_batch(&self.tloc, &mut self.tref);
-        for (i, p) in self.pend.iter().enumerate() {
-            let t = self.tref[i];
-            if last_t.is_some_and(|lt| t < lt) {
-                continue;
-            }
-            *last_t = Some(t);
-            track.fixes.push(
-                t,
-                Fix {
-                    room: p.room,
-                    position: self.pos[i],
-                    hits: p.hits as usize,
-                },
-            );
-        }
+        rows(SolvedBlock {
+            t_local: &self.tloc,
+            pend: &self.pend,
+            pos: &self.pos,
+        });
         self.pend.clear();
         self.ax.clear();
         self.ay.clear();
         self.ad.clear();
         self.an.clear();
+    }
+}
+
+/// One solved block, in arrival order: each scan's local time, its pending
+/// record and its solved position. The rows are read straight from the
+/// block's buffers, so the engine path emits them without copying.
+struct SolvedBlock<'a> {
+    t_local: &'a [SimTime],
+    pend: &'a [PendingFix],
+    pos: &'a [Point2],
+}
+
+impl SolvedBlock<'_> {
+    fn fixes(&self) -> impl Iterator<Item = Fix> + '_ {
+        self.pend.iter().zip(self.pos).map(|(p, &position)| Fix {
+            room: p.room,
+            position,
+            hits: p.hits as usize,
+        })
     }
 }
 
@@ -742,39 +743,128 @@ fn solve_lanes(
     (ex, ey)
 }
 
-/// Localizes a columnar scan view onto reference time — the batched SoA hot
-/// path driven by the engine (the pre-built [`BeaconIndex`] comes from
-/// `MissionContext`).
+/// The smoothing window a scan solve carries from one piece of a badge's
+/// scan column to the next: the last `smoothing_window` classifiable scans
+/// since the last room change, their room, and the local time of the last
+/// scan consumed.
 ///
-/// Phase A walks scans in order, windowing them by **index ring** directly
-/// over the column — the same window [`ScanSmoother`] keeps (last
-/// `smoothing_window` classifiable scans, flushed on a room change) without
-/// copying any hits — and scatter-merges each window into fixed per-beacon
-/// accumulators, gathering each scan's in-room anchors (RSSI still as
-/// `sum`/`count` pairs) into flat SoA buffers. Every `BLOCK_SCANS` scans,
-/// phase B (`BatchScratch::flush`) averages, ranges, and solves the whole
-/// block lane-wide.
+/// A solved row depends only on its scan's `t_local` and hits and on this
+/// window, never on the clock correction. So a column solved piece by piece
+/// with [`solve_scans`], each piece starting from the window the previous
+/// one left, gives the rows of one solve over the whole column.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScanWindow {
+    /// The retained scans' hits, oldest first.
+    scans: Vec<ScanHits>,
+    room: Option<RoomId>,
+    last_t: Option<SimTime>,
+}
+
+impl ScanWindow {
+    /// The window at the start of a column: empty.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether `scans` continues the column this window was carried along:
+    /// its first scan is no earlier than the last one solved. A time-sorted
+    /// join of pieces that each continue their predecessor is their
+    /// concatenation, so solving the pieces in turn solves the join.
+    #[must_use]
+    pub fn continues(&self, scans: ColumnView<'_, ScanHits>) -> bool {
+        match (scans.ts().first(), self.last_t) {
+            (Some(&first), Some(last)) => first >= last,
+            _ => true,
+        }
+    }
+}
+
+/// Scans solved up to the clock correction: the local time and the fix of
+/// each classifiable scan, in column order. [`emit_track`] puts them on
+/// reference time.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SolvedScans {
+    t_local: Vec<SimTime>,
+    fixes: Vec<Fix>,
+    scans_in: usize,
+}
+
+impl SolvedScans {
+    /// Rows solved: the classifiable scans.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.fixes.len()
+    }
+
+    /// Whether no scan was classifiable.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.fixes.is_empty()
+    }
+
+    /// Scans consumed, classifiable or not.
+    #[must_use]
+    pub fn scans_in(&self) -> usize {
+        self.scans_in
+    }
+}
+
+/// The solve step of [`localize_scans`]: smoothing window → per-beacon RSSI
+/// merge → table ranging → Gauss–Newton, with no clock correction. Starts
+/// from `window` and leaves in it the window after the last scan, so the
+/// next piece of the same column continues where this one stopped.
 ///
-/// Every per-scan floating-point operation matches
-/// [`localize_scans_scalar`] in kind and order (accumulation in scan-arrival
-/// order, output in ascending beacon id), so the track is bit-identical to
-/// the scalar path — the contract `tests/batched_kernels.rs` enforces.
+/// Phase A walks scans in order, windowing them by a **ring of hit slices**
+/// borrowed from the carried window and the column — the same window
+/// [`ScanSmoother`] keeps (last `smoothing_window` classifiable scans,
+/// flushed on a room change) without copying any hits — and scatter-merges
+/// each window into fixed per-beacon accumulators, gathering each scan's
+/// in-room anchors (RSSI still as `sum`/`count` pairs) into flat SoA
+/// buffers. Every `BLOCK_SCANS` scans, phase B (`BatchScratch::flush`)
+/// averages, ranges, and solves the whole block lane-wide.
+///
+/// `ranging` is the table of `params.channel`; a caller solving many pieces
+/// builds it once.
 #[must_use]
-#[allow(clippy::cast_possible_truncation)]
-pub fn localize_scans(
+pub fn solve_scans(
     scans: ColumnView<'_, ScanHits>,
-    corr: &SyncCorrection,
+    window: &mut ScanWindow,
+    ranging: &RangingTable,
     index: &BeaconIndex,
     plan: &ares_habitat::floorplan::FloorPlan,
     params: &LocalizationParams,
-) -> PositionTrack {
-    let ranging = RangingTable::new(&params.channel);
-    let mut track = PositionTrack::default();
-    let mut last_t = None;
+) -> SolvedScans {
+    let mut out = SolvedScans {
+        t_local: Vec::with_capacity(scans.len()),
+        fixes: Vec::with_capacity(scans.len()),
+        scans_in: scans.len(),
+    };
+    solve_blocks(scans, window, ranging, index, plan, params, |block| {
+        out.t_local.extend_from_slice(block.t_local);
+        out.fixes.extend(block.fixes());
+    });
+    out
+}
+
+/// [`solve_scans`] handing each solved block's rows to `rows` as soon as the
+/// block is solved.
+#[allow(clippy::cast_possible_truncation)]
+fn solve_blocks(
+    scans: ColumnView<'_, ScanHits>,
+    window: &mut ScanWindow,
+    ranging: &RangingTable,
+    index: &BeaconIndex,
+    plan: &ares_habitat::floorplan::FloorPlan,
+    params: &LocalizationParams,
+    mut rows: impl FnMut(SolvedBlock<'_>),
+) {
     let mut batch = BatchScratch::default();
-    let window = params.smoothing_window.max(1);
-    let mut ring: Vec<u32> = Vec::with_capacity(window);
-    let mut room_cur: Option<RoomId> = None;
+    let depth = params.smoothing_window.max(1);
+    let carried = std::mem::take(&mut window.scans);
+    // The window's scans: the carried ones first, then this column's.
+    let mut ring: Vec<&[(BeaconId, f64)]> = carried.iter().map(Vec::as_slice).collect();
+    let mut room_cur = window.room;
     let ts = scans.ts();
     let payloads = scans.payloads();
     for (si, hits) in payloads.iter().enumerate() {
@@ -785,12 +875,12 @@ pub fn localize_scans(
             ring.clear();
         }
         room_cur = Some(room);
-        if ring.len() == window {
+        while ring.len() >= depth {
             ring.remove(0);
         }
-        ring.push(si as u32);
-        for &wi in &ring {
-            for &(id, rssi) in &payloads[wi as usize] {
+        ring.push(hits);
+        for &scan in &ring {
+            for &(id, rssi) in scan {
                 let i = id.0 as usize;
                 if batch.counts[i] == 0 {
                     batch.touched.push(id.0);
@@ -824,10 +914,85 @@ pub fn localize_scans(
             alen: batch.ax.len() as u32 - astart,
         });
         if batch.pend.len() >= BLOCK_SCANS {
-            batch.flush(&ranging, corr, plan, params, &mut last_t, &mut track);
+            batch.flush(ranging, plan, params, &mut rows);
         }
     }
-    batch.flush(&ranging, corr, plan, params, &mut last_t, &mut track);
+    batch.flush(ranging, plan, params, &mut rows);
+    window.scans = ring.iter().map(|scan| scan.to_vec()).collect();
+    window.room = room_cur;
+    if let Some(&last) = ts.last() {
+        window.last_t = Some(last);
+    }
+}
+
+/// The emit step of [`localize_scans`]: maps the solved rows of a column's
+/// pieces, in order, onto reference time with the badge's clock correction,
+/// dropping a fix the correction folds back before an earlier one.
+#[must_use]
+pub fn emit_track(pieces: &[&SolvedScans], corr: &SyncCorrection) -> PositionTrack {
+    let mut track = PositionTrack::default();
+    track.fixes.reserve(pieces.iter().map(|p| p.len()).sum());
+    let mut tref = Vec::with_capacity(BLOCK_SCANS);
+    for piece in pieces {
+        let blocks = piece.t_local.chunks(BLOCK_SCANS);
+        for (ts, fixes) in blocks.zip(piece.fixes.chunks(BLOCK_SCANS)) {
+            emit_block(&mut track, ts, fixes.iter().copied(), corr, &mut tref);
+        }
+    }
+    track
+}
+
+/// Appends one block of rows to `track` on reference time, through the
+/// batch clock map. The monotonic guard compares with the track's last fix,
+/// so blocks emitted in turn guard as one column.
+fn emit_block(
+    track: &mut PositionTrack,
+    ts: &[SimTime],
+    fixes: impl Iterator<Item = Fix>,
+    corr: &SyncCorrection,
+    tref: &mut Vec<SimTime>,
+) {
+    tref.clear();
+    corr.to_reference_batch(ts, tref);
+    let mut last_t = track.fixes.last().map(|last| last.t);
+    for (&t, fix) in tref.iter().zip(fixes) {
+        // Guard against pathological correction foldbacks.
+        if last_t.is_some_and(|lt| t < lt) {
+            continue;
+        }
+        last_t = Some(t);
+        track.fixes.push(t, fix);
+    }
+}
+
+/// Localizes a columnar scan view onto reference time — the batched SoA hot
+/// path driven by the engine (the pre-built [`BeaconIndex`] comes from
+/// `MissionContext`): [`solve_scans`] from an empty window, with each
+/// solved block emitted as [`emit_track`] does while its rows are still in
+/// cache.
+///
+/// Every per-scan floating-point operation matches
+/// [`localize_scans_scalar`] in kind and order (accumulation in scan-arrival
+/// order, output in ascending beacon id), so the track is bit-identical to
+/// the scalar path — the contract `tests/batched_kernels.rs` enforces, also
+/// for a column solved in pieces.
+#[must_use]
+pub fn localize_scans(
+    scans: ColumnView<'_, ScanHits>,
+    corr: &SyncCorrection,
+    index: &BeaconIndex,
+    plan: &ares_habitat::floorplan::FloorPlan,
+    params: &LocalizationParams,
+) -> PositionTrack {
+    let ranging = RangingTable::new(&params.channel);
+    let mut track = PositionTrack::default();
+    track.fixes.reserve(scans.len());
+    let mut tref = Vec::with_capacity(BLOCK_SCANS);
+    let mut window = ScanWindow::new();
+    solve_blocks(scans, &mut window, &ranging, index, plan, params, |block| {
+        let fixes = block.fixes();
+        emit_block(&mut track, block.t_local, fixes, corr, &mut tref);
+    });
     track
 }
 

@@ -179,6 +179,13 @@ pub struct IngestShardRow {
     pub failovers: u64,
     /// Checkpoints the vault accepted.
     pub checkpoints: u64,
+    /// Scans solved when a checkpoint sealed their segment; depends on
+    /// where checkpoints cut the day.
+    pub scans_presolved: u64,
+    /// Badge-days solved whole at the day end because a segment started
+    /// before a scan already solved; depends on where checkpoints cut the
+    /// day.
+    pub presolve_fallbacks: u64,
 }
 
 impl IngestShardRow {
@@ -195,19 +202,26 @@ impl IngestShardRow {
 #[must_use]
 pub fn ingest_section(rows: &[IngestShardRow]) -> String {
     let mut out = String::from(
-        "ingest service health\nshard  ingested  dropped  peak  failovers  checkpoints\n",
+        "ingest service health\n\
+         shard  ingested  dropped  peak  failovers  checkpoints  presolved  fallbacks\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>5}  {:>8}  {:>7}  {:>4}  {:>9}  {:>11}\n",
+            "{:>5}  {:>8}  {:>7}  {:>4}  {:>9}  {:>11}  {:>9}  {:>9}\n",
             r.shard,
             r.ingested,
             r.dropped_total(),
             r.queue_peak,
             r.failovers,
             r.checkpoints,
+            r.scans_presolved,
+            r.presolve_fallbacks,
         ));
     }
+    out.push_str(
+        "presolved: scans solved at checkpoint seals; fallbacks: badge-days solved \
+         whole at day end (both depend on where checkpoints cut the day)\n",
+    );
     let shed: Vec<String> = rows
         .iter()
         .flat_map(|r| {
@@ -338,13 +352,13 @@ pub fn scenario_section(rows: &[ScenarioPlanRow]) -> String {
         ));
     }
     if !rows.is_empty() {
-        let purity_min = rows.iter().map(|r| r.resolved_fraction).fold(1.0, f64::min);
+        let resolved_min = rows.iter().map(|r| r.resolved_fraction).fold(1.0, f64::min);
         let pure_min = rows.iter().map(|r| r.pure_fraction).fold(1.0, f64::min);
         let all_deterministic = rows.iter().all(|r| r.deterministic);
         out.push_str(&format!(
             "{} scenarios: min cache-resolved {:.5}, min cache-pure {:.5}, deterministic: {}\n",
             rows.len(),
-            purity_min,
+            resolved_min,
             pure_min,
             all_deterministic,
         ));
@@ -429,6 +443,8 @@ mod tests {
                 queue_peak: 64,
                 failovers: 1,
                 checkpoints: 4,
+                scans_presolved: 880,
+                presolve_fallbacks: 1,
             },
             IngestShardRow {
                 shard: 1,
@@ -437,19 +453,25 @@ mod tests {
                 queue_peak: 12,
                 failovers: 0,
                 checkpoints: 5,
+                scans_presolved: 0,
+                presolve_fallbacks: 0,
             },
         ];
         assert_eq!(rows[0].dropped_total(), 7);
         let s = ingest_section(&rows);
         assert!(s.contains("ingest service health"));
-        assert_eq!(s.lines().count(), 5, "header + 2 shards + shed line:\n{s}");
+        assert_eq!(
+            s.lines().count(),
+            6,
+            "header + 2 shards + presolve note + shed line:\n{s}"
+        );
         assert_eq!(
             s.lines().nth(1),
-            Some("shard  ingested  dropped  peak  failovers  checkpoints")
+            Some("shard  ingested  dropped  peak  failovers  checkpoints  presolved  fallbacks")
         );
         assert_eq!(
             s.lines().nth(2),
-            Some("    0      1000        7    64          1            4")
+            Some("    0      1000        7    64          1            4        880          1")
         );
         assert!(s.contains("shard 0 audio: 7"), "typed drops surfaced:\n{s}");
         assert!(

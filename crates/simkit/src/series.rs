@@ -55,6 +55,11 @@ impl<T> Series<T> {
         self.samples.push(Sample { t, value });
     }
 
+    /// Reserves room for at least `additional` more samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.samples.reserve(additional);
+    }
+
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {

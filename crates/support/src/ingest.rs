@@ -22,10 +22,24 @@
 //!
 //! A shard holds, per tenant, exactly what it serves: the current day's
 //! telemetry per badge, the accumulated `MissionAnalysis`, and the applied
-//! record and day counts. A day end ([`IngestServer::end_day`]) joins the
-//! day's telemetry into per-badge stores and runs the seven-stage day
-//! analysis on them. [`wire_feed`] is the inverse: it flattens recorded stores into the
-//! time-ordered record feed a producer submits.
+//! record and day counts. Most of a day's localization runs before the day
+//! ends: when a checkpoint seals a badge's segment (step 3 below), the
+//! segment's scans are solved — smoothing window, ranging, Gauss–Newton —
+//! from the window the previous segment left. A day end
+//! ([`IngestServer::end_day`]) then solves only each badge's open tail,
+//! joins the day's telemetry into per-badge stores without the scan and
+//! proximity columns, which no stage reads once the scans are solved, and
+//! runs the day analysis on them: the sync fit, the emit of the solved rows
+//! onto reference time, the other per-badge stages and day assembly.
+//!
+//! The one exception: a segment whose first scan is earlier than the last
+//! scan already solved for its badge (a scan delayed past a seal). The
+//! day's time-sorted join would interleave it into solved rows, so that
+//! badge-day falls back to one solve over its joined scan column at the day
+//! end, and [`ShardReport::presolve_fallbacks`] counts it. Either way the
+//! analysis is byte-identical to the batch engine over the joined day.
+//! [`wire_feed`] is the inverse of the join: it flattens recorded stores
+//! into the time-ordered record feed a producer submits.
 //!
 //! ## Recovery protocol
 //!
@@ -41,8 +55,11 @@
 //!    snapshot is incremental: each badge's records applied since the last
 //!    checkpoint are sealed, without a copy, into an `Arc`-shared segment,
 //!    and the snapshot shares the day's segment lists and the mission
-//!    analysis with the live state. A day end joins the segments in arrival
-//!    order, which gives the same store as one column fed every record;
+//!    analysis with the live state. Sealing solves the segment's scans and
+//!    keeps the solved rows and the smoothing window after them in the
+//!    segment, so a restored checkpoint resumes the solve exactly. A day
+//!    end joins the segments in arrival order, which gives the same store
+//!    as one column fed every record;
 //! 4. when [`FaultPlan`] faults kill the primary, the failure detector
 //!    promotes a backup, which restores the vault's latest checkpoint and
 //!    replays every WAL entry past the checkpoint cursor.
@@ -60,15 +77,18 @@ use crate::failover::{FailoverEvent, ReplicaId, ReplicaState, Replicated};
 use ares_badge::records::{
     AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SyncSample,
 };
-use ares_badge::telemetry::TelemetryStore;
+use ares_badge::telemetry::{Column, TelemetryStore};
+use ares_habitat::rf::RangingTable;
 use ares_simkit::series::Interval;
 use ares_simkit::time::{SimDuration, SimTime};
-use ares_sociometrics::engine::{analyze_day_stores, EngineMetrics, MissionContext};
+use ares_sociometrics::engine::{analyze_day_solved, EngineMetrics, MissionContext, Stage};
+use ares_sociometrics::localization::{solve_scans, ScanWindow, SolvedScans};
 use ares_sociometrics::pipeline::MissionAnalysis;
 use ares_sociometrics::report::IngestShardRow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// One tenant of the ingest service: a habitat/mission whose badges form a
 /// single analysis domain. All of a tenant's telemetry lands on one shard.
@@ -311,10 +331,23 @@ impl IngestConfig {
 /// no record.
 #[derive(Debug, Clone)]
 struct TenantCheckpoint {
-    segments: Vec<(BadgeId, Vec<Arc<TelemetryStore>>)>,
+    segments: Vec<(BadgeId, Vec<Arc<Segment>>)>,
     analysis: Arc<MissionAnalysis>,
+    counts: TenantCounts,
+}
+
+/// A tenant's counters, replicated with its state.
+#[derive(Debug, Clone, Copy, Default)]
+struct TenantCounts {
+    /// Telemetry records applied.
     records: u64,
+    /// Mission days folded into the analysis.
     days: u64,
+    /// Scans of closed days solved when a checkpoint sealed their segment.
+    scans_presolved: u64,
+    /// Badge-days whose scans were solved at the day end instead, because a
+    /// segment started before a scan already solved.
+    presolve_fallbacks: u64,
 }
 
 /// A shard's message queue entries.
@@ -504,12 +537,51 @@ enum WalEntry {
     },
 }
 
+/// A piece of a badge's day that a checkpoint sealed from its tail. While
+/// the day pre-solves, the segment's scans are solved at seal time with the
+/// window the previous segment left, and the segment keeps the rows and the
+/// window after its last scan, so a restored checkpoint resumes exactly.
+#[derive(Debug)]
+struct Segment {
+    store: TelemetryStore,
+    presolved: Option<(SolvedScans, ScanWindow)>,
+}
+
 /// One badge's telemetry for the current day: the segments sealed by earlier
 /// checkpoints, in arrival order, plus the open tail of records applied
 /// since the last one.
 struct BadgeDay {
-    sealed: Vec<Arc<TelemetryStore>>,
+    sealed: Vec<Arc<Segment>>,
     tail: TelemetryStore,
+}
+
+/// A closed badge-day whose scans were all solved piece by piece: the
+/// segments and the tail's rows, in column order.
+struct DaySolve {
+    sealed: Vec<Arc<Segment>>,
+    tail: SolvedScans,
+}
+
+impl DaySolve {
+    /// The segments' rows, solved at their seals.
+    fn sealed_rows(&self) -> impl Iterator<Item = &SolvedScans> {
+        self.sealed.iter().map(|seg| {
+            let (rows, _) = seg
+                .presolved
+                .as_ref()
+                .expect("a solved day solved every segment");
+            rows
+        })
+    }
+
+    fn pieces(&self) -> Vec<&SolvedScans> {
+        self.sealed_rows().chain([&self.tail]).collect()
+    }
+
+    /// Scans solved at checkpoint seals.
+    fn presolved(&self) -> u64 {
+        self.sealed_rows().map(|rows| rows.scans_in() as u64).sum()
+    }
 }
 
 impl BadgeDay {
@@ -520,32 +592,116 @@ impl BadgeDay {
         }
     }
 
-    /// Moves a non-empty tail into a new sealed segment and returns the
-    /// segment list, sharing every segment with the live state.
-    fn seal(&mut self) -> Vec<Arc<TelemetryStore>> {
+    /// The window the badge's next scans solve from, or `None` when the day
+    /// does not pre-solve: the reference badge, whose scans no stage
+    /// localizes, or a day that fell back.
+    fn carry(&self) -> Option<ScanWindow> {
+        if self.tail.badge == BadgeId::REFERENCE {
+            return None;
+        }
+        match self.sealed.last() {
+            None => Some(ScanWindow::new()),
+            Some(seg) => seg.presolved.as_ref().map(|(_, window)| window.clone()),
+        }
+    }
+
+    /// Solves `store`'s scans from the carried window, adding the solve's
+    /// wall time to the localize stage. `None` when the day does not
+    /// pre-solve, or when `store`'s first scan is earlier than the last one
+    /// solved: the time-sorted join would interleave it, so the day falls
+    /// back to one solve over the joined column.
+    fn solve(
+        &self,
+        store: &TelemetryStore,
+        solver: &Solver,
+        metrics: &mut EngineMetrics,
+    ) -> Option<(SolvedScans, ScanWindow)> {
+        let mut window = self.carry()?;
+        let scans = store.scans.view();
+        if !window.continues(scans) {
+            return None;
+        }
+        let t0 = Instant::now();
+        let ctx = &solver.ctx;
+        let rows = solve_scans(
+            scans,
+            &mut window,
+            &solver.ranging,
+            ctx.beacon_index(),
+            &ctx.plan,
+            &ctx.params.localization,
+        );
+        metrics.add_wall(Stage::Localize, t0.elapsed().as_secs_f64());
+        Some((rows, window))
+    }
+
+    /// Moves a non-empty tail into a new sealed segment, solving its scans,
+    /// and returns the segment list, sharing every segment with the live
+    /// state.
+    fn seal(&mut self, solver: &Solver, metrics: &mut EngineMetrics) -> Vec<Arc<Segment>> {
         if self.tail.record_count() > 0 {
             let badge = self.tail.badge;
-            let tail = std::mem::replace(&mut self.tail, TelemetryStore::new(badge));
-            self.sealed.push(Arc::new(tail));
+            let store = std::mem::replace(&mut self.tail, TelemetryStore::new(badge));
+            let presolved = self.solve(&store, solver, metrics);
+            self.sealed.push(Arc::new(Segment { store, presolved }));
         }
         self.sealed.clone()
     }
 
-    /// The day as one store: the segments, then the tail, joined in arrival
-    /// order. `TelemetryStore::append` inserts stably, so this is exactly the
-    /// store one column fed every record in arrival order would hold. A
-    /// segment the vault still shares is cloned once.
-    fn join(self) -> TelemetryStore {
-        let mut parts = self
+    /// Closes the day: solves the tail from the carried window, then joins
+    /// the segments and the tail, in arrival order, into one store.
+    /// `Column::append` semantics make it exactly the store one column fed
+    /// every record in arrival order would hold — less the proximity column,
+    /// which no stage reads, and the scan column when every scan is solved.
+    /// Each segment is copied once, into a store reserved to size.
+    fn close(
+        self,
+        solver: &Solver,
+        metrics: &mut EngineMetrics,
+    ) -> (TelemetryStore, Option<DaySolve>) {
+        let tail = self
+            .solve(&self.tail, solver, metrics)
+            .map(|(rows, _)| rows);
+        let badge = self.tail.badge;
+        let parts: Vec<&TelemetryStore> = self
             .sealed
-            .into_iter()
-            .map(Arc::unwrap_or_clone)
-            .chain(std::iter::once(self.tail));
-        let mut store = parts.next().expect("the tail is always there");
+            .iter()
+            .map(|seg| &seg.store)
+            .chain([&self.tail])
+            .collect();
+        let store = join(badge, &parts, tail.is_none() && badge != BadgeId::REFERENCE);
+        let sealed = self.sealed;
+        (store, tail.map(|tail| DaySolve { sealed, tail }))
+    }
+}
+
+/// Joins `parts` in order into one store of `badge`, reserved to size,
+/// leaving out the proximity column and, unless `with_scans`, the scans.
+fn join(badge: BadgeId, parts: &[&TelemetryStore], with_scans: bool) -> TelemetryStore {
+    fn column<T: Clone>(
+        parts: &[&TelemetryStore],
+        of: impl Fn(&TelemetryStore) -> &Column<T>,
+    ) -> Column<T> {
+        let mut out = Column::with_capacity(parts.iter().map(|p| of(p).len()).sum());
         for part in parts {
-            store.append(part);
+            out.append(of(part).view());
         }
-        store
+        out
+    }
+    TelemetryStore {
+        badge,
+        scans: if with_scans {
+            column(parts, |s| &s.scans)
+        } else {
+            Column::new()
+        },
+        audio: column(parts, |s| &s.audio),
+        imu: column(parts, |s| &s.imu),
+        env: column(parts, |s| &s.env),
+        proximity: Column::new(),
+        ir: column(parts, |s| &s.ir),
+        sync: column(parts, |s| &s.sync),
+        bytes_written: parts.iter().map(|p| p.bytes_written).sum(),
     }
 }
 
@@ -553,8 +709,7 @@ impl BadgeDay {
 struct TenantLive {
     day: BTreeMap<BadgeId, BadgeDay>,
     analysis: Arc<MissionAnalysis>,
-    records: u64,
-    days: u64,
+    counts: TenantCounts,
 }
 
 impl TenantLive {
@@ -562,23 +717,22 @@ impl TenantLive {
         TenantLive {
             day: BTreeMap::new(),
             analysis: Arc::new(MissionAnalysis::new(&ctx.plan)),
-            records: 0,
-            days: 0,
+            counts: TenantCounts::default(),
         }
     }
 
-    /// Seals every badge's tail and snapshots the segment lists: a
-    /// checkpoint shares the day's telemetry instead of copying it.
-    fn checkpoint(&mut self) -> TenantCheckpoint {
+    /// Seals every badge's tail, solving its scans, and snapshots the
+    /// segment lists: a checkpoint shares the day's telemetry instead of
+    /// copying it.
+    fn checkpoint(&mut self, solver: &Solver, metrics: &mut EngineMetrics) -> TenantCheckpoint {
         TenantCheckpoint {
             segments: self
                 .day
                 .iter_mut()
-                .map(|(&badge, day)| (badge, day.seal()))
+                .map(|(&badge, day)| (badge, day.seal(solver, metrics)))
                 .collect(),
             analysis: Arc::clone(&self.analysis),
-            records: self.records,
-            days: self.days,
+            counts: self.counts,
         }
     }
 
@@ -596,8 +750,7 @@ impl TenantLive {
                 })
                 .collect(),
             analysis: Arc::clone(&ckpt.analysis),
-            records: ckpt.records,
-            days: ckpt.days,
+            counts: ckpt.counts,
         }
     }
 }
@@ -634,6 +787,14 @@ pub struct ShardReport {
     pub checkpoints_dropped: u64,
     /// Checkpoint offers the vault rejected as stale.
     pub checkpoints_rejected: u64,
+    /// Scans of the closed days solved when a checkpoint sealed their
+    /// segment rather than at the day end. Depends on where checkpoints cut
+    /// the day, so a faulted run differs from a clean one.
+    pub scans_presolved: u64,
+    /// Badge-days whose scans were solved at the day end instead, because a
+    /// segment started before a scan already solved. Depends on where
+    /// checkpoints cut the day.
+    pub presolve_fallbacks: u64,
     /// Records shed at the front door, per family label.
     pub dropped: Vec<(&'static str, u64)>,
     /// High-water mark of the shard's bounded queue.
@@ -707,6 +868,8 @@ impl IngestRunReport {
                 queue_peak: s.queue_peak,
                 failovers: s.failovers,
                 checkpoints: s.checkpoints,
+                scans_presolved: s.scans_presolved,
+                presolve_fallbacks: s.presolve_fallbacks,
             })
             .collect()
     }
@@ -888,10 +1051,17 @@ fn dropped_by_kind(st: &QueueState) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
+/// The deployment a shard analyses under, with the ranging table of its
+/// channel, built once for every scan solve.
+struct Solver {
+    ctx: MissionContext,
+    ranging: RangingTable,
+}
+
 /// What a shard's primary serves: every tenant's live state, plus the engine
 /// metrics of the day analyses it ran (replays included).
 struct ShardState {
-    ctx: MissionContext,
+    solver: Solver,
     live: BTreeMap<TenantId, TenantLive>,
     metrics: EngineMetrics,
 }
@@ -908,7 +1078,7 @@ impl ReplicaState for ShardState {
         let live = self
             .live
             .entry(*tenant)
-            .or_insert_with(|| TenantLive::fresh(&self.ctx));
+            .or_insert_with(|| TenantLive::fresh(&self.solver.ctx));
         match entry {
             WalEntry::Record { badge, record, .. } => {
                 let day = live
@@ -916,27 +1086,43 @@ impl ReplicaState for ShardState {
                     .entry(*badge)
                     .or_insert_with(|| BadgeDay::new(*badge));
                 record.clone().push_into(&mut day.tail);
-                live.records += 1;
+                live.counts.records += 1;
             }
             WalEntry::DayEnd { day, .. } => {
-                // Join each badge's segments into the day's stores; the
-                // tenant starts the next day with an empty map.
-                let stores: Vec<TelemetryStore> = std::mem::take(&mut live.day)
-                    .into_values()
-                    .map(BadgeDay::join)
+                // Close each badge's day; the tenant starts the next day with
+                // an empty map.
+                let (stores, solved): (Vec<TelemetryStore>, Vec<Option<DaySolve>>) =
+                    std::mem::take(&mut live.day)
+                        .into_values()
+                        .map(|d| d.close(&self.solver, &mut self.metrics))
+                        .unzip();
+                for (store, solve) in stores.iter().zip(&solved) {
+                    match solve {
+                        Some(solve) => live.counts.scans_presolved += solve.presolved(),
+                        None if store.badge != BadgeId::REFERENCE => {
+                            live.counts.presolve_fallbacks += 1;
+                        }
+                        None => {}
+                    }
+                }
+                let pieces: Vec<Option<Vec<&SolvedScans>>> = solved
+                    .iter()
+                    .map(|s| s.as_ref().map(DaySolve::pieces))
                     .collect();
-                let analysis = analyze_day_stores(&self.ctx, *day, &stores, &mut self.metrics);
+                let analysis =
+                    analyze_day_solved(&self.solver.ctx, *day, &stores, &pieces, &mut self.metrics);
                 // Clones the mission analysis only while the vault shares it.
                 Arc::make_mut(&mut live.analysis).absorb(analysis);
-                live.days += 1;
+                live.counts.days += 1;
             }
         }
     }
 
     fn checkpoint(&mut self, _: SimTime) -> Self::Checkpoint {
+        let (solver, metrics) = (&self.solver, &mut self.metrics);
         self.live
             .iter_mut()
-            .map(|(t, l)| (*t, l.checkpoint()))
+            .map(|(t, l)| (*t, l.checkpoint(solver, metrics)))
             .collect()
     }
 
@@ -965,8 +1151,9 @@ impl ShardWorker {
         sched: FaultScheduler,
         queue: Arc<ShardQueue>,
     ) -> Self {
+        let ranging = RangingTable::new(&ctx.params.localization.channel);
         let state = ShardState {
-            ctx,
+            solver: Solver { ctx, ranging },
             live: BTreeMap::new(),
             metrics: EngineMetrics::new(),
         };
@@ -1062,6 +1249,9 @@ impl ShardWorker {
         let wal_appended = self.service.appended();
         let failover_log = self.service.detector().log().to_vec();
         let state = self.service.into_state();
+        let counts = state.live.values().map(|l| l.counts);
+        let scans_presolved = counts.clone().map(|c| c.scans_presolved).sum();
+        let presolve_fallbacks = counts.map(|c| c.presolve_fallbacks).sum();
         ShardReport {
             shard: self.shard,
             wal_appended,
@@ -1072,6 +1262,8 @@ impl ShardWorker {
             checkpoints: stats.checkpoints,
             checkpoints_dropped: stats.checkpoints_dropped,
             checkpoints_rejected: stats.checkpoints_rejected,
+            scans_presolved,
+            presolve_fallbacks,
             dropped,
             queue_peak,
             tenants: state
@@ -1082,8 +1274,8 @@ impl ShardWorker {
                         t,
                         TenantReport {
                             analysis: Arc::unwrap_or_clone(l.analysis),
-                            records: l.records,
-                            days: l.days,
+                            records: l.counts.records,
+                            days: l.counts.days,
                         },
                     )
                 })

@@ -40,7 +40,7 @@ echo "== tier1: bench smoke (every soak -> BENCH_pipeline.json, then every floor
 # (engine, recording, fleet, scenario generation), recovery divergence, the
 # localize/speech/recording/ingest/fleet throughput floors, the >=1000
 # badge-day fleet scale floor, the >=25 validated-scenario floor with its
-# field-cache purity minimum, and a finite value in every float. Any
+# field-cache resolved minimum, and a finite value in every float. Any
 # violation exits non-zero after the artifact is written.
 cargo run --release -q -p ares-bench --bin bench_smoke BENCH_pipeline.json
 

@@ -7,15 +7,23 @@
 //! scan/audio columns through both paths, and the deterministic lane-tail
 //! test pins column lengths that straddle the `LANES = 8` boundary, where a
 //! transpose or remainder-loop bug would hide from round-count testing.
+//! A column solved in arbitrary contiguous pieces, each starting from the
+//! window the previous piece left, and emitted once, must give the same bits
+//! as one solve: that is what lets the ingest service solve scans at
+//! checkpoint seals.
 
 use ares::badge::records::{AudioFrame, BadgeId, BeaconScan};
 use ares::badge::telemetry::TelemetryStore;
 use ares::habitat::beacons::{BeaconDeployment, BeaconId};
 use ares::habitat::floorplan::FloorPlan;
+use ares::habitat::rf::RangingTable;
 use ares::habitat::rooms::RoomId;
 use ares::simkit::time::{SimDuration, SimTime};
 use ares::sociometrics::engine::MissionContext;
-use ares::sociometrics::localization::{localize_scans, localize_scans_scalar};
+use ares::sociometrics::localization::{
+    emit_track, localize_scans, localize_scans_scalar, solve_scans, PositionTrack, ScanWindow,
+    SolvedScans,
+};
 use ares::sociometrics::speech::{analyze_iter, analyze_view};
 use ares::sociometrics::sync::SyncCorrection;
 use proptest::prelude::*;
@@ -57,6 +65,36 @@ fn scans_strategy() -> impl Strategy<Value = Vec<BeaconScan>> {
                 }
             })
             .collect()
+    })
+}
+
+/// Runs of scans that hear one room's beacons, so the smoothing window
+/// fills and a piece boundary often falls inside a run.
+fn room_runs_strategy() -> impl Strategy<Value = Vec<BeaconScan>> {
+    prop::collection::vec(
+        (0..RoomId::ALL.len(), 1usize..12, -90.0f64..-40.0, 0i64..3),
+        0..16,
+    )
+    .prop_map(|runs| {
+        let mut t = SimTime::from_secs(1_000);
+        let mut scans = Vec::new();
+        for (room, len, rssi, gap) in runs {
+            let ids: Vec<BeaconId> = ctx()
+                .beacons
+                .in_room(RoomId::ALL[room])
+                .map(|b| b.id)
+                .collect();
+            for i in 0..len {
+                t += SimDuration::from_secs(gap);
+                let hits = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &id)| (id, rssi - 0.7 * (i * (k + 1) % 5) as f64 - 2.5 * k as f64))
+                    .collect();
+                scans.push(BeaconScan { t_local: t, hits });
+            }
+        }
+        scans
     })
 }
 
@@ -110,12 +148,16 @@ fn assert_localize_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {
         &ctx.plan,
         &ctx.params.localization,
     );
+    assert_tracks_bit_identical(&scalar, &batched);
+}
+
+fn assert_tracks_bit_identical(a: &PositionTrack, b: &PositionTrack) {
     assert_eq!(
-        scalar.fixes.samples().len(),
-        batched.fixes.samples().len(),
+        a.fixes.samples().len(),
+        b.fixes.samples().len(),
         "fix count diverged"
     );
-    for (a, b) in scalar.fixes.samples().iter().zip(batched.fixes.samples()) {
+    for (a, b) in a.fixes.samples().iter().zip(b.fixes.samples()) {
         assert_eq!(a.t, b.t, "fix time diverged");
         assert_eq!(a.value.room, b.value.room, "fix room diverged");
         assert_eq!(a.value.hits, b.value.hits, "fix hit count diverged");
@@ -132,6 +174,46 @@ fn assert_localize_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {
             a.t
         );
     }
+}
+
+/// Solves `scans` in the contiguous pieces that `cuts` (indexes into the
+/// column) delimit, each from the window the previous piece left, emits the
+/// rows once, and checks the track bit for bit against the one-shot batched
+/// kernel and the scalar oracle.
+fn assert_piecewise_solve_matches(scans: &[BeaconScan], cuts: &[usize], corr: &SyncCorrection) {
+    let ctx = ctx();
+    let params = &ctx.params.localization;
+    let ranging = RangingTable::new(&params.channel);
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (scans.len() + 1)).collect();
+    bounds.extend([0, scans.len()]);
+    bounds.sort_unstable();
+    let mut window = ScanWindow::new();
+    let mut rows: Vec<SolvedScans> = Vec::new();
+    for piece in bounds.windows(2) {
+        let store = store_with(scans[piece[0]..piece[1]].to_vec(), Vec::new());
+        let view = store.view().scans;
+        assert!(window.continues(view), "a contiguous piece continues");
+        rows.push(solve_scans(
+            view,
+            &mut window,
+            &ranging,
+            ctx.beacon_index(),
+            &ctx.plan,
+            params,
+        ));
+    }
+    assert_eq!(
+        rows.iter().map(SolvedScans::scans_in).sum::<usize>(),
+        scans.len()
+    );
+    let pieces: Vec<&SolvedScans> = rows.iter().collect();
+    let piecewise = emit_track(&pieces, corr);
+    let store = store_with(scans.to_vec(), Vec::new());
+    let view = store.view();
+    let whole = localize_scans(view.scans, corr, ctx.beacon_index(), &ctx.plan, params);
+    assert_tracks_bit_identical(&whole, &piecewise);
+    let scalar = localize_scans_scalar(view.scans, corr, ctx.beacon_index(), &ctx.plan, params);
+    assert_tracks_bit_identical(&scalar, &piecewise);
 }
 
 fn assert_speech_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {
@@ -157,6 +239,16 @@ proptest! {
     ) {
         let store = store_with(scans, Vec::new());
         assert_localize_bits_match(&store, &corr);
+    }
+
+    #[test]
+    fn piecewise_solve_with_carried_window_matches_one_solve(
+        (runs, scans, room_runs) in (prop::bool::ANY, scans_strategy(), room_runs_strategy()),
+        cuts in prop::collection::vec(0usize..1_000, 0..8),
+        corr in corr_strategy(),
+    ) {
+        let scans = if runs { room_runs } else { scans };
+        assert_piecewise_solve_matches(&scans, &cuts, &corr);
     }
 
     #[test]
