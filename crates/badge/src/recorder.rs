@@ -428,9 +428,13 @@ impl<'a> Recorder<'a> {
                                 &mut mean_scratch,
                             );
                         }
-                        store.push_scan(scanner::scan_from_plan(
-                            self.world, &scan_plan, t_local, &mut rng,
-                        ));
+                        scanner::scan_from_plan(
+                            &mut store.scans,
+                            self.world,
+                            &scan_plan,
+                            t_local,
+                            &mut rng,
+                        );
                     }
                     // IMU window (walking flag precomputed per tick).
                     if elapsed % self.config.imu_window.as_micros() == 0 {
@@ -598,14 +602,15 @@ impl<'a> Recorder<'a> {
                 if sampling {
                     // BLE scan.
                     if elapsed % self.config.scan_period.as_micros() == 0 {
-                        store.push_scan(scanner::scan_in(
+                        scanner::scan_into(
+                            &mut store.scans,
                             self.world,
                             self.rf_mode,
                             room,
                             pos,
                             t_local,
                             &mut rng,
-                        ));
+                        );
                     }
                     // IMU window.
                     if elapsed % self.config.imu_window.as_micros() == 0 {

@@ -6,9 +6,15 @@
 //! hot path skips the geometric test entirely. Beacons in other rooms are
 //! only ever heard through open doorways (the artifact the paper's 10-second
 //! dwell filter exists to suppress).
+//!
+//! The recorder writes each scan's hits straight into its store's
+//! [`ScanColumn`] ([`scan_into`], [`scan_from_plan`]); the row forms
+//! ([`scan`], [`scan_in`]) collect the same draws into a [`BeaconScan`].
 
 use crate::records::BeaconScan;
+use crate::telemetry::ScanColumn;
 use crate::world::{RfMode, World};
+use ares_habitat::beacons::BeaconId;
 use ares_habitat::rf::Reception;
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
@@ -22,12 +28,8 @@ pub fn scan(world: &World, badge_pos: Point2, t_local: SimTime, rng: &mut impl R
 }
 
 /// Performs one BLE scan with the badge's room already resolved, under the
-/// given RF mode.
-///
-/// Both modes consider the same candidate beacons in the same order and draw
-/// the same randomness per candidate, so the emitted scans are bit-identical;
-/// `Cached` resolves wall counts from the field cache, `Exact` from the
-/// geometric oracle.
+/// given RF mode: the row form of [`scan_into`], the same draws collected
+/// into a [`BeaconScan`].
 pub fn scan_in(
     world: &World,
     mode: RfMode,
@@ -37,21 +39,59 @@ pub fn scan_in(
     rng: &mut impl Rng,
 ) -> BeaconScan {
     let mut hits = Vec::new();
-    for_each_candidate(world, mode, badge_room, badge_pos, |beacon, walls| {
-        let d = beacon.position.distance(badge_pos);
-        if let Reception::Received(rssi) = world.ble.transmit_known_walls(d, walls, rng) {
-            hits.push((beacon.id, rssi));
-        }
+    draw_in(world, mode, badge_room, badge_pos, rng, |id, rssi| {
+        hits.push((id, rssi));
     });
     BeaconScan { t_local, hits }
 }
 
+/// Performs one BLE scan with the badge's room already resolved, under the
+/// given RF mode, writing its hits straight into `scans`.
+///
+/// Both modes consider the same candidate beacons in the same order and draw
+/// the same randomness per candidate, so the emitted scans are bit-identical;
+/// `Cached` resolves wall counts from the field cache, `Exact` from the
+/// geometric oracle.
+pub fn scan_into(
+    scans: &mut ScanColumn,
+    world: &World,
+    mode: RfMode,
+    badge_room: RoomId,
+    badge_pos: Point2,
+    t_local: SimTime,
+    rng: &mut impl Rng,
+) {
+    scans.push_with(t_local, |sink| {
+        draw_in(world, mode, badge_room, badge_pos, rng, |id, rssi| {
+            sink.push(id, rssi);
+        });
+    });
+}
+
+/// The scan kernel of [`scan_in`] and [`scan_into`]: one reception draw per
+/// candidate beacon, in scan order, handing each received one to `hit`.
+fn draw_in(
+    world: &World,
+    mode: RfMode,
+    badge_room: RoomId,
+    badge_pos: Point2,
+    rng: &mut impl Rng,
+    mut hit: impl FnMut(BeaconId, f64),
+) {
+    for_each_candidate(world, mode, badge_room, badge_pos, |beacon, walls| {
+        let d = beacon.position.distance(badge_pos);
+        if let Reception::Received(rssi) = world.ble.transmit_known_walls(d, walls, rng) {
+            hit(beacon.id, rssi);
+        }
+    });
+}
+
 /// One audible beacon in a [`scan plan`](scan_plan_into): its id and the
 /// precomputed deterministic mean RSSI at the planned badge position.
-pub type ScanPlanEntry = (ares_habitat::beacons::BeaconId, f64);
+pub type ScanPlanEntry = (BeaconId, f64);
 
 /// Builds the scan plan for a badge dwelling at `(badge_room,
-/// badge_pos)`: every candidate beacon [`scan_in`] would consider, in the
+/// badge_pos)`: every candidate beacon [`scan_into`] would consider, in the
 /// same order, with its mean RSSI precomputed — minus the candidates whose
 /// mean is so deep below sensitivity that [`transmit_known_walls`] would
 /// return `Lost` *before drawing any randomness*. Replaying the plan with
@@ -104,22 +144,24 @@ pub fn scan_plan_into(
     plan.truncate(kept);
 }
 
-/// Replays one scan tick against a precomputed plan: one reception draw per
-/// audible candidate, in plan order. Paired with [`scan_plan_into`], emits
-/// exactly what [`scan_in`] would at the planned position.
+/// Replays one scan tick against a precomputed plan, writing its hits
+/// straight into `scans`: one reception draw per audible candidate, in plan
+/// order. Paired with [`scan_plan_into`], emits exactly what [`scan_into`]
+/// would at the planned position.
 pub fn scan_from_plan(
+    scans: &mut ScanColumn,
     world: &World,
     plan: &[ScanPlanEntry],
     t_local: SimTime,
     rng: &mut impl Rng,
-) -> BeaconScan {
-    let mut hits = Vec::new();
-    for &(id, mean) in plan {
-        if let Reception::Received(rssi) = world.ble.transmit_precomputed_mean(mean, rng) {
-            hits.push((id, rssi));
+) {
+    scans.push_with(t_local, |sink| {
+        for &(id, mean) in plan {
+            if let Reception::Received(rssi) = world.ble.transmit_precomputed_mean(mean, rng) {
+                sink.push(id, rssi);
+            }
         }
-    }
-    BeaconScan { t_local, hits }
+    });
 }
 
 /// Visits, in scan order, the beacons that could conceivably be heard from
@@ -251,9 +293,14 @@ mod tests {
                         let seed = SeedTree::new(1234).stream_indexed("cell-edge", case);
                         case += 1;
                         let t = SimTime::from_secs(case as i64);
-                        let via_plan = scan_from_plan(&world, &plan, t, &mut seed.clone());
+                        let mut via_plan = ScanColumn::new();
+                        scan_from_plan(&mut via_plan, &world, &plan, t, &mut seed.clone());
                         let direct = scan_in(&world, mode, badge_room, pos, t, &mut seed.clone());
-                        assert_eq!(via_plan, direct, "{mode:?} at ({}, {})", pos.x, pos.y);
+                        let via_plan = via_plan.view().get(0).map(|(t, hits)| BeaconScan {
+                            t_local: t,
+                            hits: hits.to_vec(),
+                        });
+                        assert_eq!(via_plan, Some(direct), "{mode:?} at ({}, {})", pos.x, pos.y);
                     }
                 }
             }

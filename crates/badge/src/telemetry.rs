@@ -2,16 +2,20 @@
 //!
 //! The offline pipeline is a bulk pass over huge, homogeneous, time-ordered
 //! record streams — layout, not logic, dominates its cost. This module stores
-//! each record family as a [`Column`]: a sorted timestamp vector plus a
-//! parallel payload vector. Consumers borrow [`TelemetryView`]s — `Copy`
-//! bundles of slices — and obtain time windows by binary search over the
-//! timestamp column instead of filtering clones.
+//! each fixed-size record family as a [`Column`]: a sorted timestamp vector
+//! plus a parallel payload vector. BLE scans hear a variable number of
+//! beacons, so their family is a [`ScanColumn`]: sorted timestamps, every
+//! scan's hits in one flat buffer, and per-scan end offsets into it — no
+//! heap allocation per scan, and nothing per scan to free. Consumers borrow
+//! [`TelemetryView`]s — `Copy` bundles of slices — and obtain time windows
+//! by binary search over the timestamp column instead of filtering clones.
 //!
 //! The store is the only record format. Row structs ([`BeaconScan`],
 //! [`AudioFrame`], …) survive only at the edges: `push_*` takes them apart
 //! into columns, and the view materialisers rebuild them, in stable time
 //! order (the recorder emits every stream in time order except mirrored IR
-//! contacts, which the sorted insert repairs).
+//! contacts, which the sorted insert repairs). The recorder writes scan hits
+//! straight into the column ([`ScanColumn::push_with`]).
 
 use crate::records::{
     AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SyncSample,
@@ -24,9 +28,6 @@ use serde::{Deserialize, Serialize};
 /// columns (re-exported from `ares_simkit` so column consumers need no extra
 /// dependency).
 pub use ares_simkit::lanes;
-
-/// The advertisements of one BLE scan, timestamp stripped.
-pub type ScanHits = Vec<(BeaconId, f64)>;
 
 /// [`AudioFrame`] payload (timestamp stripped).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -257,6 +258,240 @@ impl<'a, T> ColumnView<'a, T> {
     }
 }
 
+/// The BLE scan family in flat layout: a timestamp column kept sorted
+/// ascending, every scan's hits back to back in one buffer, and each scan's
+/// end offset into it.
+///
+/// It has [`Column`]'s semantics — O(1) in-order pushes, a stable sorted
+/// insert for a late scan, [`append`](ScanColumn::append) equal to pushing
+/// record by record, half-open [`window`](ScanColumn::window)s by binary
+/// search — without a heap `Vec` per scan: a day of scans is three
+/// allocations. Two columns holding the same scans in the same order are
+/// equal field for field.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct ScanColumn {
+    ts: Vec<SimTime>,
+    /// The hits of every scan, scan by scan.
+    hits: Vec<(BeaconId, f64)>,
+    /// `ends[i]`: the end of scan `i`'s hits in `hits`, which start at
+    /// `ends[i - 1]` (0 for the first scan).
+    ends: Vec<u32>,
+}
+
+/// Append-only access to the hits of the scan [`ScanColumn::push_with`] is
+/// writing.
+#[derive(Debug)]
+pub struct HitSink<'a>(&'a mut Vec<(BeaconId, f64)>);
+
+impl HitSink<'_> {
+    /// Appends one advertisement to the scan.
+    #[inline]
+    pub fn push(&mut self, id: BeaconId, rssi: f64) {
+        self.0.push((id, rssi));
+    }
+}
+
+/// An offset into a scan column's hit buffer.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a scan column holds fewer than 2^32 hits")
+}
+
+impl ScanColumn {
+    /// An empty column.
+    #[must_use]
+    pub fn new() -> Self {
+        ScanColumn::default()
+    }
+
+    /// An empty column with room for `scans` scans hearing `hits` beacons in
+    /// all.
+    #[must_use]
+    pub fn with_capacity(scans: usize, hits: usize) -> Self {
+        ScanColumn {
+            ts: Vec::with_capacity(scans),
+            hits: Vec::with_capacity(hits),
+            ends: Vec::with_capacity(scans),
+        }
+    }
+
+    /// Number of scans.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// Whether the column holds no scans.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// Hits over all scans.
+    #[must_use]
+    pub fn hit_count(&self) -> usize {
+        self.hits.len()
+    }
+
+    /// Appends one scan, maintaining the sorted-timestamp invariant.
+    pub fn push(&mut self, t: SimTime, hits: &[(BeaconId, f64)]) {
+        self.push_with(t, |sink| sink.0.extend_from_slice(hits));
+    }
+
+    /// Appends one scan whose hits `fill` writes through the sink, in order,
+    /// straight into the flat buffer. A scan earlier than the last one is
+    /// rotated into place after `fill` returns (stable: after every scan
+    /// with an equal timestamp), so the result is what [`push`] of the same
+    /// hits gives.
+    ///
+    /// [`push`]: ScanColumn::push
+    pub fn push_with(&mut self, t: SimTime, fill: impl FnOnce(&mut HitSink<'_>)) {
+        let start = self.hits.len();
+        fill(&mut HitSink(&mut self.hits));
+        let end = offset(self.hits.len());
+        if self.ts.last().is_none_or(|&last| last <= t) {
+            self.ts.push(t);
+            self.ends.push(end);
+            return;
+        }
+        let i = self.ts.partition_point(|&x| x <= t);
+        let at = self.view().offset(i);
+        let n = end - offset(start);
+        self.hits[at as usize..].rotate_right(n as usize);
+        for e in &mut self.ends[i..] {
+            *e += n;
+        }
+        self.ts.insert(i, t);
+        self.ends.insert(i, at + n);
+    }
+
+    /// Appends a copy of another column's scans after this one's: three
+    /// slice copies when `other` starts at or after this column's last
+    /// timestamp, otherwise a stable merge by per-scan sorted insert. Either
+    /// way the result is what pushing `other`'s scans one by one gives.
+    pub fn append(&mut self, other: ScanView<'_>) {
+        let follows = match (self.ts.last(), other.ts.first()) {
+            (Some(last), Some(first)) => last <= first,
+            _ => true,
+        };
+        if follows {
+            let shift = offset(self.hits.len());
+            // Every shifted end is at most the joined length: check it once.
+            offset(self.hits.len() + other.hits.len());
+            self.ts.extend_from_slice(other.ts);
+            self.hits.extend_from_slice(other.hits);
+            self.ends
+                .extend(other.ends.iter().map(|&e| e - other.base + shift));
+        } else {
+            for (t, hits) in other.iter() {
+                self.push(t, hits);
+            }
+        }
+    }
+
+    /// Borrows the whole column.
+    #[must_use]
+    pub fn view(&self) -> ScanView<'_> {
+        ScanView {
+            ts: &self.ts,
+            hits: &self.hits,
+            ends: &self.ends,
+            base: 0,
+        }
+    }
+
+    /// Borrows the scans with `start <= t < end`.
+    #[must_use]
+    pub fn window(&self, start: SimTime, end: SimTime) -> ScanView<'_> {
+        self.view().window(start, end)
+    }
+
+    /// Approximate in-memory footprint (bytes): timestamps, end offsets and
+    /// the flat hit buffer.
+    #[must_use]
+    pub fn mem_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ts.len() * (size_of::<SimTime>() + size_of::<u32>())
+            + self.hits.len() * size_of::<(BeaconId, f64)>()
+    }
+}
+
+/// A borrowed window of a [`ScanColumn`]: zero-copy, `Copy`, and cheap to
+/// re-window. Yields each scan as `(timestamp, hit slice)`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanView<'a> {
+    ts: &'a [SimTime],
+    /// The viewed scans' hits, back to back.
+    hits: &'a [(BeaconId, f64)],
+    /// The viewed scans' end offsets, in the column's numbering.
+    ends: &'a [u32],
+    /// The column offset of `hits[0]`: where the first viewed scan starts.
+    base: u32,
+}
+
+impl<'a> ScanView<'a> {
+    /// Number of scans in view.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// Whether the view is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// The sorted timestamp slice.
+    #[must_use]
+    pub fn ts(&self) -> &'a [SimTime] {
+        self.ts
+    }
+
+    /// The column offset where viewed scan `i` starts (`i == len()`: where
+    /// the view ends).
+    fn offset(&self, i: usize) -> u32 {
+        match i {
+            0 => self.base,
+            _ => self.ends[i - 1],
+        }
+    }
+
+    /// The `i`-th scan.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<(SimTime, &'a [(BeaconId, f64)])> {
+        let t = *self.ts.get(i)?;
+        let (lo, hi) = (self.offset(i) - self.base, self.ends[i] - self.base);
+        Some((t, &self.hits[lo as usize..hi as usize]))
+    }
+
+    /// Iterates `(timestamp, hit slice)` pairs in time order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &'a [(BeaconId, f64)])> + use<'a> {
+        let (hits, base) = (self.hits, self.base);
+        let mut start = 0;
+        self.ts.iter().zip(self.ends).map(move |(&t, &end)| {
+            let end = (end - base) as usize;
+            let scan = &hits[start..end];
+            start = end;
+            (t, scan)
+        })
+    }
+
+    /// Sub-view of the scans with `start <= t < end`, found by binary search
+    /// over the sorted timestamp column.
+    #[must_use]
+    pub fn window(&self, start: SimTime, end: SimTime) -> ScanView<'a> {
+        let lo = self.ts.partition_point(|&t| t < start);
+        let hi = self.ts.partition_point(|&t| t < end);
+        let (from, to) = (self.offset(lo), self.offset(hi));
+        ScanView {
+            ts: &self.ts[lo..hi],
+            hits: &self.hits[(from - self.base) as usize..(to - self.base) as usize],
+            ends: &self.ends[lo..hi],
+            base: from,
+        }
+    }
+}
+
 /// Everything one badge recorded over one span, in columnar layout.
 ///
 /// Analysis passes borrow a [`TelemetryView`] via [`view`].
@@ -266,8 +501,8 @@ impl<'a, T> ColumnView<'a, T> {
 pub struct TelemetryStore {
     /// The physical unit.
     pub badge: BadgeId,
-    /// BLE beacon scans (payload: the hit list of each scan window).
-    pub scans: Column<ScanHits>,
+    /// BLE beacon scans, hits flattened.
+    pub scans: ScanColumn,
     /// Microphone feature frames.
     pub audio: Column<AudioPayload>,
     /// Inertial windows.
@@ -329,8 +564,8 @@ impl TelemetryStore {
     }
 
     /// Appends one BLE scan (row form) into the scan column.
-    pub fn push_scan(&mut self, s: BeaconScan) {
-        self.scans.push(s.t_local, s.hits);
+    pub fn push_scan(&mut self, s: &BeaconScan) {
+        self.scans.push(s.t_local, &s.hits);
     }
 
     /// Appends one audio frame (row form) into the audio column.
@@ -396,20 +631,13 @@ impl TelemetryStore {
     }
 
     /// Approximate in-memory footprint of the columnar layout (bytes):
-    /// timestamp and payload vectors plus the scan hit heap.
+    /// timestamp and payload vectors, plus the scan column's end offsets and
+    /// flat hit buffer.
     #[must_use]
     pub fn mem_bytes(&self) -> u64 {
         use std::mem::size_of;
         let ts = size_of::<SimTime>();
-        let hit_heap: usize = self
-            .scans
-            .view()
-            .payloads()
-            .iter()
-            .map(|h| h.len() * size_of::<(BeaconId, f64)>())
-            .sum();
-        (self.scans.len() * (ts + size_of::<ScanHits>())
-            + hit_heap
+        (self.scans.mem_bytes()
             + self.audio.len() * (ts + size_of::<AudioPayload>())
             + self.imu.len() * (ts + size_of::<ImuPayload>())
             + self.env.len() * (ts + size_of::<EnvPayload>())
@@ -426,7 +654,7 @@ pub struct TelemetryView<'a> {
     /// The physical unit.
     pub badge: BadgeId,
     /// BLE beacon scans.
-    pub scans: ColumnView<'a, ScanHits>,
+    pub scans: ScanView<'a>,
     /// Microphone feature frames.
     pub audio: ColumnView<'a, AudioPayload>,
     /// Inertial windows.
@@ -474,7 +702,7 @@ impl<'a> TelemetryView<'a> {
 
     /// Iterates scans as `(timestamp, hit slice)`.
     pub fn scan_hits(&self) -> impl Iterator<Item = (SimTime, &'a [(BeaconId, f64)])> + use<'a> {
-        self.scans.iter().map(|(t, h)| (t, h.as_slice()))
+        self.scans.iter()
     }
 
     /// Iterates audio frames materialized as row structs (payloads are

@@ -7,7 +7,7 @@ use ares_badge::records::{
 };
 use ares_badge::sensors::{ImuModel, OFF_BODY_VAR_THRESHOLD, WALK_VAR_THRESHOLD};
 use ares_badge::storage::{decode_scan, encode_scan, StorageMeter};
-use ares_badge::telemetry::{Column, TelemetryStore};
+use ares_badge::telemetry::{Column, ScanColumn, ScanView, TelemetryStore};
 use ares_crew::truth::WearState;
 use ares_habitat::beacons::BeaconId;
 use ares_simkit::geometry::Point2;
@@ -186,7 +186,7 @@ proptest! {
             .collect();
 
         let mut store = TelemetryStore::new(BadgeId(7));
-        scans.iter().cloned().for_each(|r| store.push_scan(r));
+        scans.iter().for_each(|r| store.push_scan(r));
         audio.iter().for_each(|&r| store.push_audio(r));
         imu.iter().for_each(|&r| store.push_imu(r));
         env.iter().for_each(|&r| store.push_env(r));
@@ -224,10 +224,13 @@ proptest! {
     }
 
     /// Pushing an arrival sequence into segments cut at arbitrary points and
-    /// joining them column by column with `Column::append` gives the store
-    /// that one store fed the whole sequence holds: ties keep arrival order
-    /// and out-of-order records land where a single column would put them.
-    /// The ingest day end joins checkpoint segments on exactly this argument.
+    /// joining them column by column with `Column::append` and
+    /// `ScanColumn::append` gives the store that one store fed the whole
+    /// sequence holds: ties keep arrival order and out-of-order records land
+    /// where a single column would put them. Scans hear zero to three
+    /// beacons, so the flat scan column's offsets shift on every join and
+    /// every late insert. The ingest day end joins checkpoint segments on
+    /// exactly this argument.
     #[test]
     fn segmented_pushes_joined_by_append_equal_one_store(
         arrivals in prop::collection::vec((0u8..7, 0i64..40, 0u8..13, -95.0f64..-30.0), 0..96),
@@ -237,9 +240,9 @@ proptest! {
         let push = |store: &mut TelemetryStore, &(kind, t, other, x): &(u8, i64, u8, f64)| {
             let t_local = SimTime::from_secs(t);
             match kind {
-                0 => store.push_scan(BeaconScan {
+                0 => store.push_scan(&BeaconScan {
                     t_local,
-                    hits: vec![(BeaconId(other), x)],
+                    hits: (0..other % 4).map(|k| (BeaconId(other + k), x - f64::from(k))).collect(),
                 }),
                 1 => store.push_audio(AudioFrame {
                     t_local,
@@ -337,5 +340,106 @@ proptest! {
         let got: Vec<(SimTime, usize)> =
             col.window(start, end).iter().map(|(t, &p)| (t, p)).collect();
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// A scan as the flat column's model holds it: its own `Vec` of hits.
+type ModelScan = (SimTime, Vec<(BeaconId, f64)>);
+
+/// Generated scans: timestamps on a coarse grid so ties and late arrivals
+/// are common, and zero to four hits each, so empty scans are too.
+fn scans_strategy(max: usize) -> impl Strategy<Value = Vec<ModelScan>> {
+    prop::collection::vec(
+        (
+            0i64..24,
+            prop::collection::vec((0u8..27, -100.0f64..-40.0), 0..=4),
+        ),
+        0..max,
+    )
+    .prop_map(|scans| {
+        scans
+            .into_iter()
+            .map(|(t, hits)| {
+                let hits = hits.into_iter().map(|(b, r)| (BeaconId(b), r)).collect();
+                (SimTime::from_secs(t), hits)
+            })
+            .collect()
+    })
+}
+
+/// The model's push: a stable sorted insert, after every equal timestamp.
+fn model_push(model: &mut Vec<ModelScan>, scan: &ModelScan) {
+    let i = model.partition_point(|(t, _)| *t <= scan.0);
+    model.insert(i, scan.clone());
+}
+
+fn scan_column(scans: &[ModelScan]) -> ScanColumn {
+    let mut col = ScanColumn::new();
+    for (t, hits) in scans {
+        col.push(*t, hits);
+    }
+    col
+}
+
+fn model_of(scans: &[ModelScan]) -> Vec<ModelScan> {
+    let mut model = Vec::new();
+    scans.iter().for_each(|s| model_push(&mut model, s));
+    model
+}
+
+fn rows(view: ScanView<'_>) -> Vec<ModelScan> {
+    view.iter().map(|(t, hits)| (t, hits.to_vec())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat scan column against a model that keeps one `Vec` per scan:
+    /// pushes in any order (late and empty scans included), `append` of a
+    /// whole column and of a window (whose hits start mid-buffer), and
+    /// half-open windows, re-windowed, read by `iter` and `get`.
+    #[test]
+    fn scan_column_matches_a_vec_per_scan_model(
+        head in scans_strategy(40),
+        tail in scans_strategy(40),
+        w in (0i64..26, 0i64..26),
+        v in (0i64..26, 0i64..26),
+    ) {
+        let mut col = scan_column(&head);
+        let mut model = model_of(&head);
+        prop_assert_eq!(rows(col.view()), model.clone());
+        prop_assert_eq!(col.len(), model.len());
+        prop_assert_eq!(col.hit_count(), model.iter().map(|(_, h)| h.len()).sum::<usize>());
+
+        let other = scan_column(&tail);
+        col.append(other.view());
+        model_of(&tail).iter().for_each(|s| model_push(&mut model, s));
+        prop_assert_eq!(rows(col.view()), model.clone());
+        let mut all = head.clone();
+        all.extend(tail.iter().cloned());
+        prop_assert_eq!(&col, &scan_column(&all), "append equals pushing one by one");
+
+        let (start, end) = (SimTime::from_secs(w.0.min(w.1)), SimTime::from_secs(w.0.max(w.1)));
+        let in_window = |lo: SimTime, hi: SimTime, m: &[ModelScan]| -> Vec<ModelScan> {
+            m.iter().filter(|(t, _)| lo <= *t && *t < hi).cloned().collect()
+        };
+        let window = col.window(start, end);
+        let expect = in_window(start, end, &model);
+        prop_assert_eq!(rows(window), expect.clone());
+        prop_assert_eq!(window.ts(), expect.iter().map(|(t, _)| *t).collect::<Vec<_>>().as_slice());
+        for (i, (t, hits)) in expect.iter().enumerate() {
+            prop_assert_eq!(window.get(i), Some((*t, hits.as_slice())));
+        }
+        prop_assert_eq!(window.get(expect.len()), None);
+
+        let (lo, hi) = (SimTime::from_secs(v.0.min(v.1)), SimTime::from_secs(v.0.max(v.1)));
+        prop_assert_eq!(rows(window.window(lo, hi)), in_window(lo, hi, &expect));
+
+        // Appending a window copies only its scans, whatever its offset.
+        let mut joined = scan_column(&tail);
+        joined.append(window);
+        let mut joined_model = model_of(&tail);
+        expect.iter().for_each(|s| model_push(&mut joined_model, s));
+        prop_assert_eq!(rows(joined.view()), joined_model);
     }
 }

@@ -309,19 +309,59 @@ pub fn write_side_file(out_path: &str, name: &str, text: &str) -> PathBuf {
     path
 }
 
-/// Appends one line `{"ts": <unix seconds>, <the artifact's members>}` to
-/// the run history `bench_history.jsonl` beside `out_path` ([`side_path`]):
-/// the across-runs record the single-artifact snapshot cannot give.
+/// The machine a history line was measured on, so lines from different
+/// hosts are never read as one series.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct Host {
+    /// Logical CPUs available to the run.
+    pub logical_cpus: usize,
+    /// The CPU model name (`/proc/cpuinfo`), or `"unknown"`.
+    pub cpu_model: String,
+}
+
+impl Host {
+    /// The host this process runs on.
+    #[must_use]
+    pub fn this() -> Host {
+        Host {
+            logical_cpus: std::thread::available_parallelism().map_or(0, std::num::NonZero::get),
+            cpu_model: std::fs::read_to_string("/proc/cpuinfo")
+                .ok()
+                .and_then(|info| cpu_model(&info))
+                .unwrap_or_else(|| String::from("unknown")),
+        }
+    }
+}
+
+/// The first `model name` of a `/proc/cpuinfo` text.
+fn cpu_model(cpuinfo: &str) -> Option<String> {
+    cpuinfo.lines().find_map(|line| {
+        let (key, value) = line.split_once(':')?;
+        (key.trim() == "model name").then(|| value.trim().to_string())
+    })
+}
+
+/// One run-history line: `{"ts": <unix seconds>, "host": <host>, <the
+/// artifact's members>}`.
+fn history_line(ts: u64, host: &Host, artifact: &Pipeline) -> String {
+    let host = serde_json::to_string(host).expect("host renders");
+    // The compact artifact is a non-empty object; `ts` and `host` go in as
+    // its first members.
+    let members = serde_json::to_string(artifact).expect("artifact renders");
+    format!("{{\"ts\": {ts},\"host\":{host},{}\n", &members[1..])
+}
+
+/// Appends one line `{"ts": <unix seconds>, "host": <host>, <the artifact's
+/// members>}`, the host being [`Host::this`], to the run history
+/// `bench_history.jsonl` beside `out_path` ([`side_path`]): the across-runs
+/// record the single-artifact snapshot cannot give.
 pub fn append_history(out_path: &str, artifact: &Pipeline) {
     use std::io::Write as _;
     let path = side_path(out_path, "bench_history.jsonl");
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    // The compact artifact is a non-empty object; `ts` goes in as its first
-    // member.
-    let members = serde_json::to_string(artifact).expect("artifact renders");
-    let line = format!("{{\"ts\": {ts},{}\n", &members[1..]);
+    let line = history_line(ts, &Host::this(), artifact);
     let appended = create_parent(&path).and_then(|()| {
         std::fs::OpenOptions::new()
             .create(true)
@@ -405,6 +445,28 @@ mod tests {
             side_path("runs/a.json", "x.txt"),
             Path::new("runs/artifacts/x.txt")
         );
+    }
+
+    #[test]
+    fn history_lines_lead_with_time_and_host() {
+        let host = Host {
+            logical_cpus: 2,
+            cpu_model: String::from("Test \"CPU\" @ 2.0GHz"),
+        };
+        let line = history_line(17, &host, &healthy());
+        let members = serde_json::to_string(&healthy()).expect("artifact renders");
+        assert_eq!(
+            line,
+            format!(
+                "{{\"ts\": 17,\"host\":{{\"logical_cpus\":2,\"cpu_model\":\"Test \\\"CPU\\\" @ 2.0GHz\"}},{}\n",
+                &members[1..]
+            )
+        );
+        let info =
+            "processor\t: 0\nvendor_id\t: X\nmodel name\t: Some CPU  \n\nmodel name\t: Other\n";
+        assert_eq!(cpu_model(info).as_deref(), Some("Some CPU"));
+        assert_eq!(cpu_model("processor\t: 0\n"), None);
+        assert!(Host::this().logical_cpus > 0);
     }
 
     #[test]

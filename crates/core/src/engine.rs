@@ -41,6 +41,7 @@ use ares_crew::roster::AstronautId;
 use ares_crew::schedule::Schedule;
 use ares_habitat::beacons::{BeaconDeployment, BeaconIndex};
 use ares_habitat::floorplan::FloorPlan;
+use ares_habitat::rf::RangingTable;
 use ares_simkit::par::ordered_map;
 use ares_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -59,11 +60,15 @@ pub struct MissionContext {
     /// The mission schedule (planned activities, for identity scoring and
     /// meeting classification).
     pub schedule: Schedule,
-    /// All pipeline tunables.
-    pub params: PipelineParams,
+    /// All pipeline tunables; private, so the ranging table built from
+    /// them always matches.
+    params: PipelineParams,
     /// Dense by-id beacon lookup, built once from `beacons` — the localize
     /// hot path resolves a beacon per advertisement, millions per day.
     beacon_index: BeaconIndex,
+    /// RSSI → distance table of `params.localization.channel`, built once:
+    /// every localize call and scan solve ranges through it.
+    ranging: RangingTable,
 }
 
 impl MissionContext {
@@ -76,19 +81,33 @@ impl MissionContext {
         params: PipelineParams,
     ) -> Self {
         let beacon_index = beacons.index();
+        let ranging = RangingTable::new(&params.localization.channel);
         MissionContext {
             plan,
             beacons,
             schedule,
             params,
             beacon_index,
+            ranging,
         }
+    }
+
+    /// All pipeline tunables, as constructed.
+    #[must_use]
+    pub fn params(&self) -> &PipelineParams {
+        &self.params
     }
 
     /// The pre-built dense beacon lookup (mirrors `beacons` as constructed).
     #[must_use]
     pub fn beacon_index(&self) -> &BeaconIndex {
         &self.beacon_index
+    }
+
+    /// The pre-built ranging table of the localization channel.
+    #[must_use]
+    pub fn ranging(&self) -> &RangingTable {
+        &self.ranging
     }
 
     /// The canonical ICAres-1 deployment with default parameters.
@@ -298,8 +317,9 @@ pub fn stage_localize(
         view.scans,
         corr,
         &ctx.beacon_index,
+        &ctx.ranging,
         &ctx.plan,
-        &ctx.params.localization,
+        &ctx.params().localization,
     )
 }
 
@@ -310,7 +330,7 @@ pub fn stage_wear(
     view: TelemetryView<'_>,
     corr: &SyncCorrection,
 ) -> WearTrack {
-    wear::detect_wear_iter(view.imu_samples(), corr, &ctx.params.wear)
+    wear::detect_wear_iter(view.imu_samples(), corr, &ctx.params().wear)
 }
 
 /// Stage kernel: detects walking bouts over worn time.
@@ -321,7 +341,7 @@ pub fn stage_activity(
     corr: &SyncCorrection,
     wear_track: &WearTrack,
 ) -> ActivityTrack {
-    activity::detect_walking_iter(view.imu_samples(), corr, wear_track, &ctx.params.activity)
+    activity::detect_walking_iter(view.imu_samples(), corr, wear_track, &ctx.params().activity)
 }
 
 /// Stage kernel: applies the paper's speech rules to the audio stream.
@@ -335,7 +355,7 @@ pub fn stage_speech(
     view: TelemetryView<'_>,
     corr: &SyncCorrection,
 ) -> SpeechTrack {
-    speech::analyze_view(view.audio, corr, &ctx.params.speech)
+    speech::analyze_view(view.audio, corr, &ctx.params().speech)
 }
 
 /// Stage kernel: segments room stays from a localized track.
@@ -357,7 +377,7 @@ pub fn stage_identity(
         day,
         MissionContext::nominal_owner(badge),
         &ctx.schedule,
-        &ctx.params.identity,
+        &ctx.params().identity,
     )
 }
 
@@ -519,7 +539,7 @@ pub fn assemble_day(
         &stays_by_ast,
         &speech_by_ast,
         &ctx.schedule,
-        &ctx.params.meetings,
+        &ctx.params().meetings,
     );
     let mut passages = PassageMatrix::new();
     for sts in &stays_by_ast {

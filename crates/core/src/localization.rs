@@ -12,7 +12,7 @@
 
 use crate::sync::SyncCorrection;
 use ares_badge::records::BeaconScan;
-use ares_badge::telemetry::{ColumnView, ScanHits};
+use ares_badge::telemetry::{ScanColumn, ScanView};
 use ares_habitat::beacons::{BeaconDeployment, BeaconId, BeaconIndex};
 use ares_habitat::rf::{ChannelParams, RangingTable};
 use ares_habitat::rooms::RoomId;
@@ -424,19 +424,13 @@ fn localize_inner<'h>(
 /// as the bit-identity oracle the batched kernel is tested against.
 #[must_use]
 pub fn localize_scans_scalar(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     corr: &SyncCorrection,
     index: &BeaconIndex,
     plan: &ares_habitat::floorplan::FloorPlan,
     params: &LocalizationParams,
 ) -> PositionTrack {
-    localize_inner(
-        scans.iter().map(|(t, h)| (t, h.as_slice())),
-        corr,
-        index,
-        plan,
-        params,
-    )
+    localize_inner(scans.iter(), corr, index, plan, params)
 }
 
 /// Scans buffered per batched solve block. Large enough to amortize the
@@ -754,8 +748,8 @@ fn solve_lanes(
 /// one left, gives the rows of one solve over the whole column.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanWindow {
-    /// The retained scans' hits, oldest first.
-    scans: Vec<ScanHits>,
+    /// The retained scans, oldest first, hits flattened.
+    scans: ScanColumn,
     room: Option<RoomId>,
     last_t: Option<SimTime>,
 }
@@ -772,7 +766,7 @@ impl ScanWindow {
     /// join of pieces that each continue their predecessor is their
     /// concatenation, so solving the pieces in turn solves the join.
     #[must_use]
-    pub fn continues(&self, scans: ColumnView<'_, ScanHits>) -> bool {
+    pub fn continues(&self, scans: ScanView<'_>) -> bool {
         match (scans.ts().first(), self.last_t) {
             (Some(&first), Some(last)) => first >= last,
             _ => true,
@@ -828,7 +822,7 @@ impl SolvedScans {
 /// builds it once.
 #[must_use]
 pub fn solve_scans(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     window: &mut ScanWindow,
     ranging: &RangingTable,
     index: &BeaconIndex,
@@ -851,7 +845,7 @@ pub fn solve_scans(
 /// block is solved.
 #[allow(clippy::cast_possible_truncation)]
 fn solve_blocks(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     window: &mut ScanWindow,
     ranging: &RangingTable,
     index: &BeaconIndex,
@@ -863,11 +857,9 @@ fn solve_blocks(
     let depth = params.smoothing_window.max(1);
     let carried = std::mem::take(&mut window.scans);
     // The window's scans: the carried ones first, then this column's.
-    let mut ring: Vec<&[(BeaconId, f64)]> = carried.iter().map(Vec::as_slice).collect();
+    let mut ring: Vec<(SimTime, &[(BeaconId, f64)])> = carried.view().iter().collect();
     let mut room_cur = window.room;
-    let ts = scans.ts();
-    let payloads = scans.payloads();
-    for (si, hits) in payloads.iter().enumerate() {
+    for (t_local, hits) in scans.iter() {
         let Some(room) = classify_room_hits(hits, index) else {
             continue;
         };
@@ -878,8 +870,8 @@ fn solve_blocks(
         while ring.len() >= depth {
             ring.remove(0);
         }
-        ring.push(hits);
-        for &scan in &ring {
+        ring.push((t_local, hits));
+        for &(_, scan) in &ring {
             for &(id, rssi) in scan {
                 let i = id.0 as usize;
                 if batch.counts[i] == 0 {
@@ -907,7 +899,7 @@ fn solve_blocks(
         }
         batch.touched.clear();
         batch.pend.push(PendingFix {
-            t_local: ts[si],
+            t_local,
             room,
             hits: hits.len() as u32,
             astart,
@@ -918,9 +910,13 @@ fn solve_blocks(
         }
     }
     batch.flush(ranging, plan, params, &mut rows);
-    window.scans = ring.iter().map(|scan| scan.to_vec()).collect();
+    let mut kept = ScanColumn::with_capacity(ring.len(), ring.iter().map(|(_, h)| h.len()).sum());
+    for &(t, hits) in &ring {
+        kept.push(t, hits);
+    }
+    window.scans = kept;
     window.room = room_cur;
-    if let Some(&last) = ts.last() {
+    if let Some(&last) = scans.ts().last() {
         window.last_t = Some(last);
     }
 }
@@ -966,10 +962,10 @@ fn emit_block(
 }
 
 /// Localizes a columnar scan view onto reference time — the batched SoA hot
-/// path driven by the engine (the pre-built [`BeaconIndex`] comes from
-/// `MissionContext`): [`solve_scans`] from an empty window, with each
-/// solved block emitted as [`emit_track`] does while its rows are still in
-/// cache.
+/// path driven by the engine (the pre-built [`BeaconIndex`] and the
+/// [`RangingTable`] of `params.channel` come from `MissionContext`):
+/// [`solve_scans`] from an empty window, with each solved block emitted as
+/// [`emit_track`] does while its rows are still in cache.
 ///
 /// Every per-scan floating-point operation matches
 /// [`localize_scans_scalar`] in kind and order (accumulation in scan-arrival
@@ -978,18 +974,18 @@ fn emit_block(
 /// for a column solved in pieces.
 #[must_use]
 pub fn localize_scans(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     corr: &SyncCorrection,
     index: &BeaconIndex,
+    ranging: &RangingTable,
     plan: &ares_habitat::floorplan::FloorPlan,
     params: &LocalizationParams,
 ) -> PositionTrack {
-    let ranging = RangingTable::new(&params.channel);
     let mut track = PositionTrack::default();
     track.fixes.reserve(scans.len());
     let mut tref = Vec::with_capacity(BLOCK_SCANS);
     let mut window = ScanWindow::new();
-    solve_blocks(scans, &mut window, &ranging, index, plan, params, |block| {
+    solve_blocks(scans, &mut window, ranging, index, plan, params, |block| {
         let fixes = block.fixes();
         emit_block(&mut track, block.t_local, fixes, corr, &mut tref);
     });
@@ -1247,7 +1243,7 @@ mod tests {
             .enumerate()
         {
             let pos = world.plan.room_center(room);
-            store.push_scan(scanner::scan(
+            store.push_scan(&scanner::scan(
                 &world,
                 pos,
                 SimTime::from_secs(i as i64),
@@ -1256,8 +1252,9 @@ mod tests {
         }
         let corr = SyncCorrection::identity();
         let scans = store.view().scans;
+        let ranging = RangingTable::new(&params.channel);
         let scalar = localize_scans_scalar(scans, &corr, &index, &world.plan, &params);
-        let batched = localize_scans(scans, &corr, &index, &world.plan, &params);
+        let batched = localize_scans(scans, &corr, &index, &ranging, &world.plan, &params);
         assert_eq!(
             scalar, batched,
             "batched kernel must match the scalar oracle"

@@ -217,7 +217,7 @@ impl StreamingAnalyzer {
             scan.t_local,
             &scan.hits,
             self.ctx.beacon_index(),
-            &self.ctx.params.localization,
+            &self.ctx.params().localization,
         ) else {
             return events;
         };
@@ -271,7 +271,7 @@ impl StreamingAnalyzer {
     /// shared [`frame_qualifies`] / [`interval_is_speech`] kernels.
     pub fn ingest_audio(&mut self, badge: BadgeId, frame: &AudioFrame) -> Vec<LiveEvent> {
         self.records_ingested += 1;
-        let params = self.ctx.params.speech;
+        let params = self.ctx.params().speech;
         let state = self.badges.entry(badge).or_default();
         let at = state.sync.to_reference(frame.t_local);
         let bucket = at.floor_to(params.interval);
@@ -308,7 +308,7 @@ impl StreamingAnalyzer {
     /// [`window_on_body`] / [`block_worn`] kernels.
     pub fn ingest_imu(&mut self, badge: BadgeId, sample: &ImuSample) -> Vec<LiveEvent> {
         self.records_ingested += 1;
-        let params = self.ctx.params.wear;
+        let params = self.ctx.params().wear;
         let state = self.badges.entry(badge).or_default();
         let at = state.sync.to_reference(sample.t_local);
         let bucket = at.floor_to(params.block);

@@ -77,8 +77,7 @@ use crate::failover::{FailoverEvent, ReplicaId, ReplicaState, Replicated};
 use ares_badge::records::{
     AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SyncSample,
 };
-use ares_badge::telemetry::{Column, TelemetryStore};
-use ares_habitat::rf::RangingTable;
+use ares_badge::telemetry::{Column, ScanColumn, TelemetryStore};
 use ares_simkit::series::Interval;
 use ares_simkit::time::{SimDuration, SimTime};
 use ares_sociometrics::engine::{analyze_day_solved, EngineMetrics, MissionContext, Stage};
@@ -143,16 +142,18 @@ impl TelemetryRecord {
         }
     }
 
-    /// Appends the record to its column of `store`.
-    pub fn push_into(self, store: &mut TelemetryStore) {
+    /// Appends a copy of the record to its column of `store`: a scan's
+    /// hits extend the flat scan column, every other payload is `Copy`, so
+    /// the push allocates nothing per record.
+    pub fn push_into(&self, store: &mut TelemetryStore) {
         match self {
             TelemetryRecord::Scan(r) => store.push_scan(r),
-            TelemetryRecord::Audio(r) => store.push_audio(r),
-            TelemetryRecord::Imu(r) => store.push_imu(r),
-            TelemetryRecord::Env(r) => store.push_env(r),
-            TelemetryRecord::Proximity(r) => store.push_proximity(r),
-            TelemetryRecord::Ir(r) => store.push_ir(r),
-            TelemetryRecord::Sync(r) => store.push_sync(r),
+            TelemetryRecord::Audio(r) => store.push_audio(*r),
+            TelemetryRecord::Imu(r) => store.push_imu(*r),
+            TelemetryRecord::Env(r) => store.push_env(*r),
+            TelemetryRecord::Proximity(r) => store.push_proximity(*r),
+            TelemetryRecord::Ir(r) => store.push_ir(*r),
+            TelemetryRecord::Sync(r) => store.push_sync(*r),
         }
     }
 }
@@ -613,7 +614,7 @@ impl BadgeDay {
     fn solve(
         &self,
         store: &TelemetryStore,
-        solver: &Solver,
+        ctx: &MissionContext,
         metrics: &mut EngineMetrics,
     ) -> Option<(SolvedScans, ScanWindow)> {
         let mut window = self.carry()?;
@@ -622,14 +623,13 @@ impl BadgeDay {
             return None;
         }
         let t0 = Instant::now();
-        let ctx = &solver.ctx;
         let rows = solve_scans(
             scans,
             &mut window,
-            &solver.ranging,
+            ctx.ranging(),
             ctx.beacon_index(),
             &ctx.plan,
-            &ctx.params.localization,
+            &ctx.params().localization,
         );
         metrics.add_wall(Stage::Localize, t0.elapsed().as_secs_f64());
         Some((rows, window))
@@ -638,11 +638,11 @@ impl BadgeDay {
     /// Moves a non-empty tail into a new sealed segment, solving its scans,
     /// and returns the segment list, sharing every segment with the live
     /// state.
-    fn seal(&mut self, solver: &Solver, metrics: &mut EngineMetrics) -> Vec<Arc<Segment>> {
+    fn seal(&mut self, ctx: &MissionContext, metrics: &mut EngineMetrics) -> Vec<Arc<Segment>> {
         if self.tail.record_count() > 0 {
             let badge = self.tail.badge;
             let store = std::mem::replace(&mut self.tail, TelemetryStore::new(badge));
-            let presolved = self.solve(&store, solver, metrics);
+            let presolved = self.solve(&store, ctx, metrics);
             self.sealed.push(Arc::new(Segment { store, presolved }));
         }
         self.sealed.clone()
@@ -656,12 +656,10 @@ impl BadgeDay {
     /// Each segment is copied once, into a store reserved to size.
     fn close(
         self,
-        solver: &Solver,
+        ctx: &MissionContext,
         metrics: &mut EngineMetrics,
     ) -> (TelemetryStore, Option<DaySolve>) {
-        let tail = self
-            .solve(&self.tail, solver, metrics)
-            .map(|(rows, _)| rows);
+        let tail = self.solve(&self.tail, ctx, metrics).map(|(rows, _)| rows);
         let badge = self.tail.badge;
         let parts: Vec<&TelemetryStore> = self
             .sealed
@@ -691,9 +689,16 @@ fn join(badge: BadgeId, parts: &[&TelemetryStore], with_scans: bool) -> Telemetr
     TelemetryStore {
         badge,
         scans: if with_scans {
-            column(parts, |s| &s.scans)
+            let mut scans = ScanColumn::with_capacity(
+                parts.iter().map(|p| p.scans.len()).sum(),
+                parts.iter().map(|p| p.scans.hit_count()).sum(),
+            );
+            for part in parts {
+                scans.append(part.scans.view());
+            }
+            scans
         } else {
-            Column::new()
+            ScanColumn::new()
         },
         audio: column(parts, |s| &s.audio),
         imu: column(parts, |s| &s.imu),
@@ -724,12 +729,16 @@ impl TenantLive {
     /// Seals every badge's tail, solving its scans, and snapshots the
     /// segment lists: a checkpoint shares the day's telemetry instead of
     /// copying it.
-    fn checkpoint(&mut self, solver: &Solver, metrics: &mut EngineMetrics) -> TenantCheckpoint {
+    fn checkpoint(
+        &mut self,
+        ctx: &MissionContext,
+        metrics: &mut EngineMetrics,
+    ) -> TenantCheckpoint {
         TenantCheckpoint {
             segments: self
                 .day
                 .iter_mut()
-                .map(|(&badge, day)| (badge, day.seal(solver, metrics)))
+                .map(|(&badge, day)| (badge, day.seal(ctx, metrics)))
                 .collect(),
             analysis: Arc::clone(&self.analysis),
             counts: self.counts,
@@ -1051,17 +1060,10 @@ fn dropped_by_kind(st: &QueueState) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// The deployment a shard analyses under, with the ranging table of its
-/// channel, built once for every scan solve.
-struct Solver {
-    ctx: MissionContext,
-    ranging: RangingTable,
-}
-
 /// What a shard's primary serves: every tenant's live state, plus the engine
 /// metrics of the day analyses it ran (replays included).
 struct ShardState {
-    solver: Solver,
+    ctx: MissionContext,
     live: BTreeMap<TenantId, TenantLive>,
     metrics: EngineMetrics,
 }
@@ -1078,14 +1080,14 @@ impl ReplicaState for ShardState {
         let live = self
             .live
             .entry(*tenant)
-            .or_insert_with(|| TenantLive::fresh(&self.solver.ctx));
+            .or_insert_with(|| TenantLive::fresh(&self.ctx));
         match entry {
             WalEntry::Record { badge, record, .. } => {
                 let day = live
                     .day
                     .entry(*badge)
                     .or_insert_with(|| BadgeDay::new(*badge));
-                record.clone().push_into(&mut day.tail);
+                record.push_into(&mut day.tail);
                 live.counts.records += 1;
             }
             WalEntry::DayEnd { day, .. } => {
@@ -1094,7 +1096,7 @@ impl ReplicaState for ShardState {
                 let (stores, solved): (Vec<TelemetryStore>, Vec<Option<DaySolve>>) =
                     std::mem::take(&mut live.day)
                         .into_values()
-                        .map(|d| d.close(&self.solver, &mut self.metrics))
+                        .map(|d| d.close(&self.ctx, &mut self.metrics))
                         .unzip();
                 for (store, solve) in stores.iter().zip(&solved) {
                     match solve {
@@ -1110,7 +1112,7 @@ impl ReplicaState for ShardState {
                     .map(|s| s.as_ref().map(DaySolve::pieces))
                     .collect();
                 let analysis =
-                    analyze_day_solved(&self.solver.ctx, *day, &stores, &pieces, &mut self.metrics);
+                    analyze_day_solved(&self.ctx, *day, &stores, &pieces, &mut self.metrics);
                 // Clones the mission analysis only while the vault shares it.
                 Arc::make_mut(&mut live.analysis).absorb(analysis);
                 live.counts.days += 1;
@@ -1119,10 +1121,10 @@ impl ReplicaState for ShardState {
     }
 
     fn checkpoint(&mut self, _: SimTime) -> Self::Checkpoint {
-        let (solver, metrics) = (&self.solver, &mut self.metrics);
+        let (ctx, metrics) = (&self.ctx, &mut self.metrics);
         self.live
             .iter_mut()
-            .map(|(t, l)| (*t, l.checkpoint(solver, metrics)))
+            .map(|(t, l)| (*t, l.checkpoint(ctx, metrics)))
             .collect()
     }
 
@@ -1151,9 +1153,8 @@ impl ShardWorker {
         sched: FaultScheduler,
         queue: Arc<ShardQueue>,
     ) -> Self {
-        let ranging = RangingTable::new(&ctx.params.localization.channel);
         let state = ShardState {
-            solver: Solver { ctx, ranging },
+            ctx,
             live: BTreeMap::new(),
             metrics: EngineMetrics::new(),
         };

@@ -16,7 +16,6 @@ use ares::badge::records::{AudioFrame, BadgeId, BeaconScan};
 use ares::badge::telemetry::TelemetryStore;
 use ares::habitat::beacons::{BeaconDeployment, BeaconId};
 use ares::habitat::floorplan::FloorPlan;
-use ares::habitat::rf::RangingTable;
 use ares::habitat::rooms::RoomId;
 use ares::simkit::time::{SimDuration, SimTime};
 use ares::sociometrics::engine::MissionContext;
@@ -126,7 +125,7 @@ fn audio_strategy() -> impl Strategy<Value = Vec<AudioFrame>> {
 
 fn store_with(scans: Vec<BeaconScan>, audio: Vec<AudioFrame>) -> TelemetryStore {
     let mut store = TelemetryStore::new(BadgeId::default());
-    scans.into_iter().for_each(|s| store.push_scan(s));
+    scans.iter().for_each(|s| store.push_scan(s));
     audio.into_iter().for_each(|a| store.push_audio(a));
     store
 }
@@ -139,14 +138,15 @@ fn assert_localize_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {
         corr,
         ctx.beacon_index(),
         &ctx.plan,
-        &ctx.params.localization,
+        &ctx.params().localization,
     );
     let batched = localize_scans(
         view.scans,
         corr,
         ctx.beacon_index(),
+        ctx.ranging(),
         &ctx.plan,
-        &ctx.params.localization,
+        &ctx.params().localization,
     );
     assert_tracks_bit_identical(&scalar, &batched);
 }
@@ -182,8 +182,7 @@ fn assert_tracks_bit_identical(a: &PositionTrack, b: &PositionTrack) {
 /// kernel and the scalar oracle.
 fn assert_piecewise_solve_matches(scans: &[BeaconScan], cuts: &[usize], corr: &SyncCorrection) {
     let ctx = ctx();
-    let params = &ctx.params.localization;
-    let ranging = RangingTable::new(&params.channel);
+    let params = &ctx.params().localization;
     let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (scans.len() + 1)).collect();
     bounds.extend([0, scans.len()]);
     bounds.sort_unstable();
@@ -196,7 +195,7 @@ fn assert_piecewise_solve_matches(scans: &[BeaconScan], cuts: &[usize], corr: &S
         rows.push(solve_scans(
             view,
             &mut window,
-            &ranging,
+            ctx.ranging(),
             ctx.beacon_index(),
             &ctx.plan,
             params,
@@ -210,7 +209,14 @@ fn assert_piecewise_solve_matches(scans: &[BeaconScan], cuts: &[usize], corr: &S
     let piecewise = emit_track(&pieces, corr);
     let store = store_with(scans.to_vec(), Vec::new());
     let view = store.view();
-    let whole = localize_scans(view.scans, corr, ctx.beacon_index(), &ctx.plan, params);
+    let whole = localize_scans(
+        view.scans,
+        corr,
+        ctx.beacon_index(),
+        ctx.ranging(),
+        &ctx.plan,
+        params,
+    );
     assert_tracks_bit_identical(&whole, &piecewise);
     let scalar = localize_scans_scalar(view.scans, corr, ctx.beacon_index(), &ctx.plan, params);
     assert_tracks_bit_identical(&scalar, &piecewise);
@@ -219,8 +225,8 @@ fn assert_piecewise_solve_matches(scans: &[BeaconScan], cuts: &[usize], corr: &S
 fn assert_speech_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {
     let ctx = ctx();
     let view = store.view();
-    let scalar = analyze_iter(view.audio_frames(), corr, &ctx.params.speech);
-    let batched = analyze_view(view.audio, corr, &ctx.params.speech);
+    let scalar = analyze_iter(view.audio_frames(), corr, &ctx.params().speech);
+    let batched = analyze_view(view.audio, corr, &ctx.params().speech);
     assert_eq!(scalar, batched, "speech track diverged");
     for (a, b) in scalar.intervals.iter().zip(&batched.intervals) {
         assert_eq!(a.mean_level_db.to_bits(), b.mean_level_db.to_bits());

@@ -70,12 +70,7 @@ fn truncated_day_still_analyzes() {
     for store in &mut stores {
         let morning = store.view().window(SimTime::EPOCH, cutoff);
         let mut cut = TelemetryStore::new(store.badge);
-        for (t_local, hits) in morning.scan_hits() {
-            cut.push_scan(BeaconScan {
-                t_local,
-                hits: hits.to_vec(),
-            });
-        }
+        cut.scans.append(morning.scans);
         morning.audio_frames().for_each(|r| cut.push_audio(r));
         morning.imu_samples().for_each(|r| cut.push_imu(r));
         morning.proximity_obs().for_each(|r| cut.push_proximity(r));

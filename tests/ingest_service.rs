@@ -254,7 +254,7 @@ fn synthetic_feed_ingests_like_the_batch_engine() {
             .map(|b| TelemetryStore::new(BadgeId(b)))
             .collect();
         for (badge, record) in records {
-            record.clone().push_into(&mut stores[usize::from(badge.0)]);
+            record.push_into(&mut stores[usize::from(badge.0)]);
         }
         batch.absorb(analyze_day_stores(ctx, *day, &stores, &mut metrics));
     }
@@ -288,18 +288,7 @@ proptest! {
     ) {
         let (ctx, baseline) = synthetic_baseline();
         let origin = SimTime::from_day_hms(SYNTH_DAYS[0], 6, 0, 0);
-        let at = origin + SimDuration::from_mins(crash_min);
-        let mut plan = FaultPlan::new(11).with(Fault::ReplicaCrash {
-            replica: ReplicaId(0), // the one shard's initial primary
-            at,
-            recover_at: reboot_s.map(|s| at + SimDuration::from_secs(s)),
-        });
-        if let Some((from, len)) = outage {
-            let from = origin + SimDuration::from_mins(from);
-            plan = plan.with(Fault::BusDrop {
-                window: Interval::new(from, from + SimDuration::from_mins(len)),
-            });
-        }
+        let plan = crash_plan(11, origin, crash_min, outage, reboot_s);
         let faulted = drive_synthetic(ctx, &plan);
         if reboot_s.is_none() {
             prop_assert_eq!(faulted.shards[0].failovers, 1, "the crash was survived");
@@ -320,6 +309,32 @@ proptest! {
             );
         }
     }
+}
+
+/// Kills the one shard's initial primary `crash_min` minutes after
+/// `origin`, rebooting it `reboot_s` seconds later if given, optionally
+/// under a bus outage `(start, length)` in minutes after `origin` that drops
+/// checkpoints.
+fn crash_plan(
+    seed: u64,
+    origin: SimTime,
+    crash_min: i64,
+    outage: Option<(i64, i64)>,
+    reboot_s: Option<i64>,
+) -> FaultPlan {
+    let at = origin + SimDuration::from_mins(crash_min);
+    let mut plan = FaultPlan::new(seed).with(Fault::ReplicaCrash {
+        replica: ReplicaId(0), // the one shard's initial primary
+        at,
+        recover_at: reboot_s.map(|s| at + SimDuration::from_secs(s)),
+    });
+    if let Some((from, len)) = outage {
+        let from = origin + SimDuration::from_mins(from);
+        plan = plan.with(Fault::BusDrop {
+            window: Interval::new(from, from + SimDuration::from_mins(len)),
+        });
+    }
+    plan
 }
 
 /// The synthetic feed's first day with every scan hearing all beacons of a
@@ -357,12 +372,14 @@ fn located_day() -> &'static SynthDay {
 }
 
 /// Serves one day's arrivals to two tenants on one shard under a checkpoint
-/// cadence of `cadence`, closing the day at the next midnight.
+/// cadence of `cadence` and the faults of `plan`, closing the day at the
+/// next midnight.
 fn serve_day(
     ctx: &MissionContext,
     day: u32,
     arrivals: &[(BadgeId, TelemetryRecord)],
     cadence: SimDuration,
+    plan: &FaultPlan,
 ) -> IngestRunReport {
     let cfg = IngestConfig {
         shards: 1,
@@ -370,7 +387,7 @@ fn serve_day(
         checkpoint_every: cadence,
         ..IngestConfig::icares_day(day)
     };
-    let server = IngestServer::spawn(cfg, ctx, Bus::new(), &FaultPlan::new(5));
+    let server = IngestServer::spawn(cfg, ctx, Bus::new(), plan);
     for (badge, record) in arrivals {
         assert!(server.submit(TenantId(0), *badge, record.clone()));
         assert!(server.submit(TenantId(1), *badge, record.clone()));
@@ -434,13 +451,13 @@ proptest! {
         arrivals.insert(to, (badge, scan));
 
         let cadence = SimDuration::from_mins(cadence_min);
-        let report = serve_day(ctx, *day, &arrivals, cadence);
+        let report = serve_day(ctx, *day, &arrivals, cadence, &FaultPlan::new(5));
 
         let mut stores: Vec<TelemetryStore> = (0..SYNTH_BADGES)
             .map(|b| TelemetryStore::new(BadgeId(b)))
             .collect();
         for (b, record) in &arrivals {
-            record.clone().push_into(&mut stores[usize::from(b.0)]);
+            record.push_into(&mut stores[usize::from(b.0)]);
         }
         let mut batch = MissionAnalysis::new(&ctx.plan);
         batch.absorb(analyze_day_stores(ctx, *day, &stores, &mut EngineMetrics::new()));
@@ -480,5 +497,71 @@ proptest! {
             prop_assert!(shard.presolve_fallbacks >= 1);
         }
         prop_assert!(shard.scans_presolved > 0, "seals solved scans ahead");
+    }
+}
+
+/// The located day served unfaulted at a five-minute cadence, shared across
+/// property cases.
+fn located_baseline() -> &'static IngestRunReport {
+    static BASELINE: OnceLock<IngestRunReport> = OnceLock::new();
+    BASELINE.get_or_init(|| {
+        let (day, feed) = located_day();
+        let ctx = &synthetic_baseline().0;
+        serve_day(
+            ctx,
+            *day,
+            feed,
+            SimDuration::from_mins(5),
+            &FaultPlan::new(5),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The crash-time drill on the located day, whose scans resolve rooms
+    /// and in-room positions that depend on the smoothing window a seal
+    /// carries: kill the primary at a random instant, optionally reboot it
+    /// and drop checkpoints under a bus outage. The backup resumes solving
+    /// from the restored segments' windows, and every tenant's analysis must
+    /// match the unfaulted run byte for byte.
+    #[test]
+    fn shard_recovers_byte_identical_at_any_crash_time_on_a_located_day(
+        crash_min in 0i64..1_020,
+        outage in prop::option::of((0i64..1_020, 1i64..720)),
+        reboot_s in prop::option::of(
+            (prop::bool::ANY, 30i64..300, 300i64..7_200)
+                .prop_map(|(short, under, over)| if short { under } else { over }),
+        ),
+    ) {
+        let ctx = &synthetic_baseline().0;
+        let baseline = located_baseline();
+        let (day, feed) = located_day();
+        let origin = SimTime::from_day_hms(*day, 6, 0, 0);
+        let plan = crash_plan(5, origin, crash_min, outage, reboot_s);
+        let faulted = serve_day(ctx, *day, feed, SimDuration::from_mins(5), &plan);
+        if reboot_s.is_none() {
+            prop_assert_eq!(faulted.shards[0].failovers, 1, "the crash was survived");
+        }
+        for tenant in [TenantId(0), TenantId(1)] {
+            let base = baseline.tenant(tenant).expect("baseline tenant");
+            let fault = faulted.tenant(tenant).expect("faulted tenant");
+            prop_assert!(
+                base.analysis.heatmaps.iter().any(|h| h.total_seconds() > 0.0),
+                "the located day reaches the heatmaps"
+            );
+            prop_assert_eq!(base.records, fault.records);
+            prop_assert_eq!(fault.days, 1);
+            prop_assert_eq!(
+                rendered(&base.analysis),
+                rendered(&fault.analysis),
+                "tenant {:?} diverged: crash at +{} min, reboot {:?} s, outage {:?}",
+                tenant,
+                crash_min,
+                reboot_s,
+                outage
+            );
+        }
     }
 }

@@ -65,7 +65,7 @@ fn gender_classification_from_f0_is_correct() {
         (AstronautId::E, "male"),
         (AstronautId::F, "male"),
     ];
-    let params = runner.pipeline().context().params.speech;
+    let params = runner.pipeline().context().params().speech;
     for (a, want) in expected {
         let idx = analysis.carrier_of[a.index()].expect("resolved");
         let got = classify_register(&analysis.badges[idx].speech, &params);

@@ -96,14 +96,15 @@ fn batched_kernels_are_bit_identical_to_scalar_on_mission_data() {
             &corr,
             ctx.beacon_index(),
             &ctx.plan,
-            &ctx.params.localization,
+            &ctx.params().localization,
         );
         let batched = localize_scans(
             view.scans,
             &corr,
             ctx.beacon_index(),
+            ctx.ranging(),
             &ctx.plan,
-            &ctx.params.localization,
+            &ctx.params().localization,
         );
         assert_eq!(scalar, batched, "batched localize diverged from scalar");
         for (a, b) in scalar.fixes.samples().iter().zip(batched.fixes.samples()) {
@@ -112,8 +113,8 @@ fn batched_kernels_are_bit_identical_to_scalar_on_mission_data() {
         }
         nonempty += usize::from(!scalar.fixes.samples().is_empty());
 
-        let s = analyze_iter(view.audio_frames(), &corr, &ctx.params.speech);
-        let b = analyze_view(view.audio, &corr, &ctx.params.speech);
+        let s = analyze_iter(view.audio_frames(), &corr, &ctx.params().speech);
+        let b = analyze_view(view.audio, &corr, &ctx.params().speech);
         assert_eq!(s, b, "batched speech diverged from scalar");
         for (si, bi) in s.intervals.iter().zip(&b.intervals) {
             assert_eq!(si.mean_level_db.to_bits(), bi.mean_level_db.to_bits());
